@@ -35,27 +35,24 @@ void PageCache::lru_push_back(std::uint32_t s) {
   tail_ = s;
 }
 
-void PageCache::touch(std::uint64_t key) {
-  auto it = pages_.find(key);
-  assert(it != pages_.end());
-  lru_unlink(it->second);
-  lru_push_back(it->second);
+std::uint32_t& PageCache::slot_ref(std::uint64_t fid, std::uint64_t page) {
+  if (fid >= table_.size()) table_.resize(fid + 1);
+  std::vector<std::uint32_t>& row = table_[fid];
+  if (page >= row.size()) row.resize(page + 1, kNil);
+  return row[page];
 }
 
-void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
-  const std::uint64_t key = key_of(fid, page);
-  auto it = pages_.find(key);
-  if (it != pages_.end()) {
-    Page& pg = pool_[it->second];
+void PageCache::insert(std::uint32_t& slot, std::uint64_t fid,
+                       std::uint64_t page, bool dirty) {
+  if (slot != kNil) {
+    Page& pg = pool_[slot];
     if (dirty && !pg.dirty) {
       pg.dirty = true;
       ++dirty_count_;
     }
-    lru_unlink(it->second);
-    lru_push_back(it->second);
+    touch(slot);
     return;
   }
-  std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
@@ -65,12 +62,12 @@ void PageCache::insert(std::uint64_t fid, std::uint64_t page, bool dirty) {
     pool_.push_back(Page{fid, page, dirty, true, kNil, kNil});
   }
   lru_push_back(slot);
-  pages_.emplace(key, slot);
+  ++live_pages_;
   if (dirty) ++dirty_count_;
 }
 
 sim::Task<void> PageCache::ensure_room() {
-  if (resident_bytes() <= p_.capacity_bytes) co_return;
+  assert(over_capacity());
   // Reclaim down to a hysteresis point one batch below capacity: victims are
   // collected synchronously (so the LRU stays consistent), then dirty ones
   // are written out in address order.
@@ -90,7 +87,8 @@ sim::Task<void> PageCache::ensure_room() {
       ++stats_.clean_evictions;
     }
     lru_unlink(slot);
-    pages_.erase(key_of(pg.fid, pg.idx));
+    table_[pg.fid][pg.idx] = kNil;
+    --live_pages_;
     pg.live = false;
     free_.push_back(slot);
   }
@@ -118,8 +116,8 @@ sim::Task<IoStatus> PageCache::read(std::uint64_t fid, std::uint64_t off,
   const std::uint64_t last = (off + len - 1) / p_.page_size;
   std::uint64_t run_start = 0;  // first page of a pending miss run
   std::uint64_t run_len = 0;    // pages in the pending miss run
+  // Awaited only with a pending run: a call creates a coroutine frame.
   auto flush_run = [&]() -> sim::Task<void> {
-    if (run_len == 0) co_return;
     ++stats_.miss_runs;
     if (co_await disk_->read(page_addr(fid, run_start, p_.page_size),
                              run_len * p_.page_size) ==
@@ -131,27 +129,28 @@ sim::Task<IoStatus> PageCache::read(std::uint64_t fid, std::uint64_t off,
       co_return;
     }
     for (std::uint64_t k = 0; k < run_len; ++k) {
-      insert(fid, run_start + k, /*dirty=*/false);
+      insert(slot_ref(fid, run_start + k), fid, run_start + k,
+             /*dirty=*/false);
     }
     run_len = 0;
-    co_await ensure_room();
+    if (over_capacity()) co_await ensure_room();
   };
   for (std::uint64_t pg = first; pg <= last; ++pg) {
-    const bool is_hole =
-        !has_content(pg * p_.page_size, (pg + 1) * p_.page_size);
-    if (is_hole || resident(key_of(fid, pg))) {
-      if (!is_hole) {
-        ++stats_.hits;
-        touch(key_of(fid, pg));
+    if (has_content(pg * p_.page_size, (pg + 1) * p_.page_size)) {
+      const std::uint32_t slot = find(fid, pg);
+      if (slot == kNil) {
+        ++stats_.misses;
+        if (run_len == 0) run_start = pg;
+        ++run_len;
+        continue;
       }
-      co_await flush_run();
-      continue;
+      ++stats_.hits;
+      touch(slot);
     }
-    ++stats_.misses;
-    if (run_len == 0) run_start = pg;
-    ++run_len;
+    // A hit or a hole ends the pending miss run.
+    if (run_len != 0) co_await flush_run();
   }
-  co_await flush_run();
+  if (run_len != 0) co_await flush_run();
   co_await mem_->transfer(len);
   co_return status;
 }
@@ -168,13 +167,16 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
     const std::uint64_t pg_end = pg_start + p_.page_size;
     const bool full =
         pad_partial || (off <= pg_start && off + len >= pg_end);
-    const std::uint64_t key = key_of(fid, pg);
-    if (resident(key)) {
+    std::uint32_t& slot = slot_ref(fid, pg);
+    if (slot != kNil) {
       ++stats_.hits;
-      insert(fid, pg, /*dirty=*/true);  // marks dirty + LRU touch
+      insert(slot, fid, pg, /*dirty=*/true);  // marks dirty + LRU touch
       continue;
     }
-    if (!full && has_content(pg_start, pg_end)) {
+    if (full || !has_content(pg_start, pg_end)) {
+      ++stats_.misses;
+      insert(slot, fid, pg, /*dirty=*/true);
+    } else {
       // §5.2: a sub-page write to uncached, preexisting content forces the
       // page to be read from disk before the write can be applied.
       ++stats_.prereads;
@@ -182,11 +184,11 @@ sim::Task<void> PageCache::write(std::uint64_t fid, std::uint64_t off,
       // follows remaps the bad sectors anyway.
       (void)co_await disk_->read(page_addr(fid, pg, p_.page_size),
                                  p_.page_size);
-    } else {
-      ++stats_.misses;
+      // `slot` may dangle now (the table can grow while the read is in
+      // flight), and another writer may have cached the page: probe again.
+      insert(slot_ref(fid, pg), fid, pg, /*dirty=*/true);
     }
-    insert(fid, pg, /*dirty=*/true);
-    co_await ensure_room();
+    if (over_capacity()) co_await ensure_room();
   }
   co_await mem_->transfer(len);
 }
@@ -216,8 +218,10 @@ sim::Task<void> PageCache::flush_all() {
 }
 
 void PageCache::drop_all() {
-  pages_.clear();
-  pool_.clear();   // capacity retained: steady state stays allocation-free
+  // Capacity retained everywhere: steady state stays allocation-free.
+  for (std::vector<std::uint32_t>& row : table_) row.clear();
+  live_pages_ = 0;
+  pool_.clear();
   free_.clear();
   head_ = tail_ = kNil;
   dirty_count_ = 0;

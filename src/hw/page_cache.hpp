@@ -16,16 +16,17 @@
 //    cache" between the initial-write and overwrite phases.
 //
 // Hot-path layout: pages live in a slot pool (std::vector<Page>) threaded
-// into an intrusive doubly-linked LRU by 32-bit slot indices, with an
-// unordered_map from page key to slot. Insert/touch/evict move no memory and
-// allocate nothing in steady state (slots recycle through a free list; the
-// map's bucket array is pre-reserved and only rehashes on real growth).
+// into an intrusive doubly-linked LRU by 32-bit slot indices. A direct-indexed
+// page table maps [fid][page] to a slot (fids are small and dense: LocalFs
+// hands them out sequentially), so every page operation is one array probe.
+// Insert/touch/evict move no memory and allocate nothing in steady state:
+// slots recycle through a free list, and a file's table row only grows when
+// the file does (drop_all keeps every row's capacity).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,7 +52,6 @@ class PageCache {
   PageCache(sim::Simulation& sim, Disk& disk, sim::BandwidthServer& mem,
             const CacheParams& params)
       : sim_(&sim), disk_(&disk), mem_(&mem), p_(params) {
-    pages_.reserve(kInitialReserve);
     pool_.reserve(kInitialReserve);
   }
   PageCache(const PageCache&) = delete;
@@ -106,7 +106,7 @@ class PageCache {
   const Stats& stats() const { return stats_; }
 
   std::uint64_t resident_bytes() const {
-    return static_cast<std::uint64_t>(pages_.size()) * p_.page_size;
+    return live_pages_ * p_.page_size;
   }
   std::uint64_t dirty_pages() const { return dirty_count_; }
   const CacheParams& params() const { return p_; }
@@ -157,25 +157,37 @@ class PageCache {
     std::uint32_t next;  // toward MRU end
   };
 
-  static std::uint64_t key_of(std::uint64_t fid, std::uint64_t page) {
-    return fid * 0x100000000ULL ^ page;
+  /// Slot of a resident page, or kNil. Never grows the table.
+  std::uint32_t find(std::uint64_t fid, std::uint64_t page) const {
+    if (fid >= table_.size() || page >= table_[fid].size()) return kNil;
+    return table_[fid][page];
   }
-
-  bool resident(std::uint64_t key) const { return pages_.contains(key); }
+  /// The table entry of (fid, page), growing the table to hold it. The
+  /// reference is invalidated by the next slot_ref() or any co_await.
+  std::uint32_t& slot_ref(std::uint64_t fid, std::uint64_t page);
   // --- intrusive LRU plumbing (head_ = LRU victim, tail_ = most recent) ---
   void lru_unlink(std::uint32_t s);
   void lru_push_back(std::uint32_t s);
-  void touch(std::uint64_t key);
-  void insert(std::uint64_t fid, std::uint64_t page, bool dirty);
+  void touch(std::uint32_t s) {
+    lru_unlink(s);
+    lru_push_back(s);
+  }
+  /// Make (fid, page) resident and most recent, dirtying it if `dirty`.
+  /// `slot` is its table entry, kNil when not resident.
+  void insert(std::uint32_t& slot, std::uint64_t fid, std::uint64_t page,
+              bool dirty);
+  bool over_capacity() const { return resident_bytes() > p_.capacity_bytes; }
   /// Evict LRU pages until under capacity; dirty victims are written to disk
-  /// in address-sorted, coalesced runs.
+  /// in address-sorted, coalesced runs. Callers test over_capacity() first,
+  /// so a page access under capacity creates no coroutine frame.
   sim::Task<void> ensure_room();
 
   sim::Simulation* sim_;
   Disk* disk_;
   sim::BandwidthServer* mem_;
   CacheParams p_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pages_;  // key -> slot
+  std::vector<std::vector<std::uint32_t>> table_;  // [fid][page] -> slot
+  std::uint64_t live_pages_ = 0;
   std::vector<Page> pool_;
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;  // least recently used

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/interval_map.hpp"
@@ -163,23 +164,33 @@ class IoServer {
 
   /// Local file naming convention (exposed for tests/white-box inspection).
   static std::string data_name(std::uint64_t h) {
-    return "h" + std::to_string(h) + ".data";
+    return local_name(h, ".data");
   }
   static std::string red_name(std::uint64_t h) {
-    return "h" + std::to_string(h) + ".red";
+    return local_name(h, ".red");
   }
   /// Generation-qualified redundancy file. Generation 0 keeps the legacy
   /// name; a scheme migration writes the target scheme's redundancy into
   /// generation N+1 and drops the old generation after the flip.
   static std::string red_name(std::uint64_t h, std::uint32_t gen) {
     if (gen == 0) return red_name(h);
-    return "h" + std::to_string(h) + ".red.g" + std::to_string(gen);
+    return local_name(h, ".red.g").append(std::to_string(gen));
   }
   static std::string ovfl_name(std::uint64_t h) {
-    return "h" + std::to_string(h) + ".ovfl";
+    return local_name(h, ".ovfl");
   }
 
  private:
+  /// "h<h><suffix>". Built by append: GCC 12 reports false -Wrestrict
+  /// warnings on `"h" + std::to_string(h)`.
+  static std::string local_name(std::uint64_t h, std::string_view suffix) {
+    const std::string id = std::to_string(h);
+    std::string name;
+    name.reserve(1 + id.size() + suffix.size());
+    name.append("h").append(id).append(suffix);
+    return name;
+  }
+
   /// A coroutine parked in lock_parity() waiting for the lock. Lives on the
   /// acquirer's frame; the queue stores pointers, FIFO.
   struct LockWaiter {

@@ -167,8 +167,13 @@ sim::Task<Result<void>> CsarFs::write(const pvfs::OpenFile& f,
   {
     // Telemetry for the adaptive engine: the full/partial-stripe byte split
     // the layout computes anyway, attributed to the file's current scheme.
-    const auto ws = f.layout.split_write(off, data.size());
-    const std::uint64_t full = ws.full_end - ws.full_start;
+    // A 1-server layout (RAID0/RAID1 on N = 1) has no stripe to fill, so
+    // all of its bytes count as partial-stripe.
+    std::uint64_t full = 0;
+    if (f.layout.nservers >= 2) {
+      const auto ws = f.layout.split_write(off, data.size());
+      full = ws.full_end - ws.full_start;
+    }
     p_.policy->note_write(f, p_.policy->scheme_of(f), full,
                           data.size() - full);
   }

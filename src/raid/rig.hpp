@@ -145,9 +145,10 @@ class Rig {
   // --- observability ---
   /// Attach a tracer and/or metrics registry to the whole deployment: the
   /// tracer is attached to the simulation clock, gets one trace process per
-  /// node (manager, server N, client N), observes named simulator tasks,
-  /// and is installed on the fabric, every client and every server. Either
-  /// argument may be nullptr; call with both null to detach.
+  /// node (manager, server N, client N, and repair once the repair client
+  /// exists), observes named simulator tasks, and is installed on the
+  /// fabric, every client and every server. Either argument may be nullptr;
+  /// call with both null to detach.
   void set_obs(obs::Tracer* tracer, obs::Registry* metrics) {
     tracer_ = tracer;
     metrics_ = metrics;
@@ -161,6 +162,9 @@ class Rig {
       for (std::uint32_t c = 0; c < clients.size(); ++c) {
         tracer->map_node(clients[c]->node_id(),
                          tracer->process("client " + std::to_string(c)));
+      }
+      if (repair_client_) {
+        tracer->map_node(repair_client_->node_id(), tracer->process("repair"));
       }
       sim.set_task_observer(tracer);
     } else {

@@ -306,6 +306,130 @@ TEST(PageCache, ReadMissBatchesContiguousRuns) {
   EXPECT_EQ(f.cache.stats().misses, 128u);
 }
 
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+// A scripted mix of hits, misses, pre-reads, hole reads, clean and dirty
+// evictions and a drop_all followed by reuse, on two files. Every expected
+// value is worked out by hand in the comments from the LRU order.
+TEST(PageCache, ScriptedSequenceMatchesHandComputedState) {
+  constexpr std::uint64_t kPg = 4096;
+  CacheParams cp;
+  cp.capacity_bytes = 8 * kPg;  // 8 pages; reclaim goes down to 6
+  cp.page_size = kPg;
+  cp.evict_batch = 2;
+  CacheFixture f(cp);
+  struct Seen {
+    std::uint64_t resident = 0, dirty = 0;
+    Ranges dirty1, dirty2;
+  };
+  Seen mid;
+  f.sim.spawn([](CacheFixture& fx, Seen& s) -> sim::Task<void> {
+    PageCache& c = fx.cache;
+    // f1 p0..p3 new: 4 misses. LRU (old -> new): f1p0 f1p1 f1p2 f1p3.
+    co_await c.write(1, 0, 4 * kPg, PageCache::dense(0));
+    // 2 hits. LRU: f1p2 f1p3 f1p0 f1p1.
+    co_await c.read(1, 0, 2 * kPg, PageCache::dense(4 * kPg));
+    // One coalesced disk write of 4 pages; nothing dirty.
+    co_await c.flush_all();
+    // f2 p0..p5 new: 6 misses. Inserting f2p4 makes 9 resident: reclaim to
+    // 6 evicts f1p2, f1p3, f1p0 (3 clean). Then f2p5: 7 resident.
+    // LRU: f1p1 f2p0..f2p5.
+    co_await c.write(2, 0, 6 * kPg, PageCache::dense(0));
+    // Sub-page write to evicted f1p0 with content on disk: 1 pre-read.
+    // 8 resident. LRU: f1p1 f2p0..f2p5 f1p0.
+    co_await c.write(1, 100, 200, PageCache::dense(4 * kPg));
+    // f1p1 resident: hit, now dirty. LRU: f2p0..f2p5 f1p0 f1p1.
+    co_await c.write(1, kPg + 10, 20, PageCache::dense(4 * kPg));
+    // f1p2, f1p3 miss as one run (1 disk read). 10 resident: reclaim to 6
+    // evicts f2p0..f2p3 (4 dirty, one coalesced disk write).
+    // LRU: f2p4 f2p5 f1p0 f1p1 f1p2 f1p3.
+    co_await c.read(1, 2 * kPg, 2 * kPg, PageCache::dense(4 * kPg));
+    // f1p0..f1p3 hit (4); f1p4 is a hole and counts as neither.
+    co_await c.read(1, 0, 5 * kPg, PageCache::dense(4 * kPg));
+    s.resident = c.resident_bytes();
+    s.dirty = c.dirty_pages();
+    s.dirty1 = c.dirty_ranges(1);
+    s.dirty2 = c.dirty_ranges(2);
+    c.drop_all();
+    // Reuse after the drop: f2p1 misses; then f2p0 misses (1 disk read
+    // run) and f2p1 hits.
+    co_await c.write(2, kPg, kPg, PageCache::dense(0));
+    co_await c.read(2, 0, 2 * kPg, PageCache::dense(2 * kPg));
+  }(f, mid));
+  f.sim.run();
+
+  EXPECT_EQ(mid.resident, 6 * kPg);
+  EXPECT_EQ(mid.dirty, 4u);  // f2p4 f2p5 f1p0 f1p1
+  EXPECT_EQ(mid.dirty1, (Ranges{{0, 2 * kPg}}));
+  EXPECT_EQ(mid.dirty2, (Ranges{{4 * kPg, 6 * kPg}}));
+
+  const PageCache::Stats& st = f.cache.stats();
+  EXPECT_EQ(st.hits, 8u);
+  EXPECT_EQ(st.misses, 14u);
+  EXPECT_EQ(st.miss_runs, 2u);
+  EXPECT_EQ(st.prereads, 1u);
+  EXPECT_EQ(st.dirty_evictions, 4u);
+  EXPECT_EQ(st.clean_evictions, 3u);
+  EXPECT_EQ(f.cache.resident_bytes(), 2 * kPg);
+  EXPECT_EQ(f.cache.dirty_pages(), 1u);
+  EXPECT_EQ(f.cache.dirty_ranges(1), Ranges{});
+  EXPECT_EQ(f.cache.dirty_ranges(2), (Ranges{{kPg, 2 * kPg}}));
+  EXPECT_EQ(f.disk.stats().reads, 3u);   // pre-read, f1 run, f2p0 run
+  EXPECT_EQ(f.disk.stats().writes, 2u);  // flush_all, f2p0..f2p3 eviction
+}
+
+TEST(PageCache, PageFarBeyondTableEnd) {
+  constexpr std::uint64_t kPg = 4096;
+  constexpr std::uint64_t kFar = 1ULL << 20;  // page index: 4 GiB offset
+  CacheParams cp;
+  cp.capacity_bytes = 1 << 20;
+  cp.page_size = kPg;
+  CacheFixture f(cp);
+  f.sim.spawn([](CacheFixture& fx) -> sim::Task<void> {
+    co_await fx.cache.write(1, 0, kPg, PageCache::dense(0));
+    co_await fx.cache.write(1, kFar * kPg, kPg, PageCache::dense(0));
+    co_await fx.cache.read(1, kFar * kPg, kPg,
+                           PageCache::dense((kFar + 1) * kPg));
+    co_await fx.cache.read(1, 0, kPg, PageCache::dense((kFar + 1) * kPg));
+  }(f));
+  f.sim.run();
+  EXPECT_EQ(f.cache.stats().misses, 2u);
+  EXPECT_EQ(f.cache.stats().hits, 2u);
+  EXPECT_EQ(f.cache.resident_bytes(), 2 * kPg);
+  EXPECT_EQ(f.cache.dirty_ranges(1),
+            (Ranges{{0, kPg}, {kFar * kPg, (kFar + 1) * kPg}}));
+  EXPECT_EQ(f.disk.stats().reads, 0u);
+}
+
+// LocalFs never tells the cache that a file was removed and never reuses its
+// fid: the orphaned pages stay resident (and dirty) until the LRU evicts
+// them, and the successor file's pages never alias them.
+TEST(PageCache, RemovedFidPagesAgeOutWithoutAliasing) {
+  constexpr std::uint64_t kPg = 4096;
+  CacheParams cp;
+  cp.capacity_bytes = 4 * kPg;
+  cp.page_size = kPg;
+  cp.evict_batch = 1;
+  CacheFixture f(cp);
+  std::uint64_t hits_after_successor = 0;
+  f.sim.spawn([](CacheFixture& fx, std::uint64_t& hits) -> sim::Task<void> {
+    co_await fx.cache.write(3, 0, 2 * kPg, PageCache::dense(0));  // "removed"
+    co_await fx.cache.write(4, 0, 2 * kPg, PageCache::dense(0));  // successor
+    hits = fx.cache.stats().hits;
+    // Two more successor pages: inserting f4p2 makes 5 resident, and
+    // reclaim to 3 evicts the orphaned f3p0 and f3p1 (dirty, oldest first).
+    co_await fx.cache.write(4, 2 * kPg, 2 * kPg, PageCache::dense(0));
+  }(f, hits_after_successor));
+  f.sim.run();
+  EXPECT_EQ(hits_after_successor, 0u);
+  EXPECT_EQ(f.cache.stats().misses, 6u);
+  EXPECT_EQ(f.cache.stats().dirty_evictions, 2u);
+  EXPECT_EQ(f.cache.dirty_ranges(3), Ranges{});
+  EXPECT_EQ(f.cache.dirty_ranges(4), (Ranges{{0, 4 * kPg}}));
+  EXPECT_EQ(f.cache.resident_bytes(), 4 * kPg);
+  EXPECT_EQ(f.disk.stats().writes, 1u);  // f3p0 + f3p1, coalesced
+}
+
 TEST(Node, ServerHasDiskAndCacheClientDoesNot) {
   sim::Simulation sim;
   Cluster cluster(sim, profile_experimental2003());

@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pvfs/io_server.hpp"
+#include "raid/rig.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
@@ -377,6 +378,34 @@ TEST(ObsStorm, AttachingTracerLeavesFingerprintUntouched) {
   EXPECT_EQ(traced.events_executed, plain.events_executed);
   EXPECT_EQ(traced.finished_at, plain.finished_at);
   EXPECT_EQ(traced.fingerprint, plain.fingerprint);
+}
+
+// Rig::set_obs must give a repair client built *before* the tracer its own
+// "repair" process, or the client's spans would carry pid 0.
+TEST(ObsTrace, RepairClientBuiltBeforeTracerGetsRepairProcess) {
+  if (!kEnabled) GTEST_SKIP() << "hooks compiled out (CSAR_OBS=0)";
+  Tracer tracer;  // outlives the rig, whose teardown still emits spans
+  raid::RigParams rp;
+  rp.nservers = 2;
+  raid::Rig rig(rp);
+  pvfs::Client& repair = rig.repair_client();
+  rig.set_obs(&tracer, nullptr);
+  rig.sim.spawn([](pvfs::Client& c) -> sim::Task<void> {
+    pvfs::Request r;
+    r.op = pvfs::Op::ping;
+    (void)co_await c.rpc(0, std::move(r));
+  }(repair));
+  rig.sim.run();
+
+  const std::uint32_t pid = tracer.node_pid(repair.node_id());
+  ASSERT_NE(pid, 0u);
+  const std::string json = tracer.to_json();
+  const std::string p = std::to_string(pid);
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"process_name\",\"pid\":" +
+                                        p + ",\"args\":{\"name\":\"repair\"}"),
+            1u);
+  EXPECT_GT(count_occurrences(json, "{\"ph\":\"X\",\"pid\":" + p + ","),
+            0u);
 }
 
 }  // namespace

@@ -162,6 +162,27 @@ TEST(Raid1, StorageIsExactlyDouble) {
   }(rig));
 }
 
+// A 1-server layout has no stripe: the write path must not ask it for one
+// (the adaptive-policy telemetry used to, and tripped stripe_width()'s
+// N >= 2 assertion).
+TEST(SingleServer, Raid0AndRaid1WriteThenReadBack) {
+  for (Scheme s : {Scheme::raid0, Scheme::raid1}) {
+    SCOPED_TRACE(scheme_name(s));
+    Rig rig(small_rig(s, 1));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      auto& fs = r.client_fs();
+      auto f = co_await fs.create("f", r.layout(kSu));
+      CO_ASSERT_TRUE(f.ok());
+      Buffer data = Buffer::pattern(3 * kSu + 500, 7);
+      auto wr = co_await fs.write(*f, 100, data.slice(0, data.size()));
+      CO_ASSERT_TRUE(wr.ok());
+      auto rd = co_await fs.read(*f, 100, data.size());
+      CO_ASSERT_TRUE(rd.ok());
+      EXPECT_EQ(*rd, data);
+    }(rig));
+  }
+}
+
 // ---------- RAID5 specifics ----------
 
 class Raid5Parity : public ::testing::TestWithParam<std::uint32_t> {};
