@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -173,17 +174,11 @@ sim::Task<Result<void>> Client::remove(std::string name) {
 }
 
 sim::Task<Response> Client::rpc(std::uint32_t s, Request r) {
-  co_return co_await rpc(s, std::move(r), policy_);
+  return rpc(s, std::move(r), policy_);
 }
 
 sim::Task<Response> Client::rpc(std::uint32_t s, Request r, RpcPolicy policy) {
-  auto ch = acquire_reply_channel();
-  Response resp = co_await rpc_attempts(s, std::move(r), policy, ch);
-  // The rpc_attempts frame (and the request copies holding ch) is gone by
-  // now; if no straggler server kept a reference, the channel goes back to
-  // the pool.
-  recycle_reply_channel(std::move(ch));
-  co_return resp;
+  return rpc_attempts(s, std::move(r), policy, acquire_reply_channel());
 }
 
 std::shared_ptr<sim::Channel<Response>> Client::acquire_reply_channel() {
@@ -231,6 +226,7 @@ sim::Task<Response> Client::rpc_attempts(
   r.reply = ch;
   IoServer* srv = servers_[s];
   const std::uint32_t attempts = std::max<std::uint32_t>(1, policy.max_attempts);
+  std::optional<Response> got;
   Errc last_err = Errc::timeout;
   for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
@@ -250,32 +246,35 @@ sim::Task<Response> Client::rpc_attempts(
     if (d == net::Delivery::ok) srv->inbox().send(std::move(req));
     // Delivery::dropped: the request is gone; only the deadline saves us.
     if (policy.timeout == 0) {
-      Response resp = co_await ch->recv();
-      resp.server = static_cast<int>(s);
-      if (obs::kEnabled && rpc_hist_ != nullptr) rpc_hist_->add(sim.now() - t0);
-      co_return resp;
+      got = co_await ch->recv();
+      break;
     }
-    auto got = co_await ch->recv_until(sim.now() + policy.timeout);
-    if (got) {
-      got->server = static_cast<int>(s);
-      if (obs::kEnabled && rpc_hist_ != nullptr) rpc_hist_->add(sim.now() - t0);
-      co_return std::move(*got);
-    }
+    got = co_await ch->recv_until(sim.now() + policy.timeout);
+    if (got) break;
     ++rpc_stats_.timeouts;
     if (obs::kEnabled && timeout_ctr_ != nullptr) timeout_ctr_->add(1);
     last_err = Errc::timeout;
   }
-  Response failed;
-  failed.ok = false;
-  failed.err = last_err;
-  failed.server = static_cast<int>(s);
+  Response resp;
+  if (got) {
+    resp = std::move(*got);
+  } else {
+    resp.ok = false;
+    resp.err = last_err;
+  }
+  resp.server = static_cast<int>(s);
   if (obs::kEnabled && rpc_hist_ != nullptr) rpc_hist_->add(sim.now() - t0);
-  co_return failed;
+  // Every request copy (and with it the server's reference to ch) is gone
+  // unless a straggler attempt is still queued or in flight; if so the
+  // channel is simply not pooled.
+  r.reply.reset();
+  recycle_reply_channel(std::move(ch));
+  co_return resp;
 }
 
 sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,
                                                    std::vector<Request> subs) {
-  co_return co_await rpc_batch(s, std::move(subs), policy_);
+  return rpc_batch(s, std::move(subs), policy_);
 }
 
 sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,

@@ -133,7 +133,8 @@ class Client {
   /// last attempt the response is synthesized with Errc::timeout; a fabric
   /// reset after the last attempt yields Errc::conn_dropped. Late replies
   /// from earlier attempts of the same call are accepted (all I/O server
-  /// ops are idempotent).
+  /// ops are idempotent). Takes a reply channel from the pool when called,
+  /// so await the Task where it is made.
   sim::Task<Response> rpc(std::uint32_t s, Request r, RpcPolicy policy);
 
   /// Wire-level batching switch (RigParams::rpc_batching). When on,
@@ -191,9 +192,9 @@ class Client {
   /// Backoff before send attempt `attempt` (2-based), jittered from rng_.
   sim::Duration backoff_pause(const RpcPolicy& policy, std::uint32_t attempt);
 
-  /// All attempts of one rpc() call, against the given reply channel. Split
-  /// out so rpc() can recycle the channel after this frame (and with it the
-  /// request's reply reference) is gone.
+  /// All attempts of one rpc() call, against the given reply channel, which
+  /// it hands back to the pool on exit. rpc() returns this Task directly, so
+  /// one RPC costs one coroutine frame here, not two.
   sim::Task<Response> rpc_attempts(std::uint32_t s, Request r,
                                    RpcPolicy policy,
                                    std::shared_ptr<sim::Channel<Response>> ch);

@@ -124,11 +124,11 @@ sim::BandwidthServer& IoServer::stream_for(hw::NodeId client,
   return *it->second;
 }
 
-sim::Task<void> IoServer::pace(const Request& r, std::uint64_t bytes) {
+auto IoServer::pace(const Request& r, std::uint64_t bytes) {
   // Redundancy-*block* operations take CSAR's fast path (cache-resident
   // parity/mirror blocks, outside the iod streaming loop). Bulk payloads —
   // data files and overflow regions — go through the per-connection stream.
-  co_await stream_for(r.from, redundancy_op(r.op)).transfer(bytes);
+  return stream_for(r.from, redundancy_op(r.op)).transfer(bytes);
 }
 
 sim::Task<void> IoServer::reply(const Request& r, Response resp,
@@ -356,9 +356,27 @@ sim::Task<Response> IoServer::exec_one(const Request& r, bool prelocked,
                                        obs::Ctx ctx) {
   switch (r.op) {
     case Op::read_data:
-      co_return co_await do_read_data(r, ctx);
+      return do_read_data(r, ctx);
     case Op::write_data:
-      co_return co_await do_write_data(r, ctx);
+      return do_write_data(r, ctx);
+    case Op::write_overflow:
+      return do_write_overflow(r);
+    case Op::read_data_raw:
+      return do_read_data_raw(r);
+    case Op::read_mirror:
+      return do_read_mirror(r);
+    case Op::read_own_overflow:
+      return do_read_own_overflow(r);
+    case Op::compact_overflow:
+      return do_compact_overflow(r);
+    default:
+      return exec_inline(r, prelocked, ctx);
+  }
+}
+
+sim::Task<Response> IoServer::exec_inline(const Request& r, bool prelocked,
+                                          obs::Ctx ctx) {
+  switch (r.op) {
     case Op::read_red: {
       if (p_.parity_locking && r.lock && !prelocked) {
         const std::uint64_t key = lock_key(r.handle, r.off, r.su);
@@ -413,20 +431,10 @@ sim::Task<Response> IoServer::exec_one(const Request& r, bool prelocked,
       }
       co_return Response{};
     }
-    case Op::write_overflow:
-      co_return co_await do_write_overflow(r);
-    case Op::read_data_raw:
-      co_return co_await do_read_data_raw(r);
-    case Op::read_mirror:
-      co_return co_await do_read_mirror(r);
-    case Op::read_own_overflow:
-      co_return co_await do_read_own_overflow(r);
     case Op::flush: {
       co_await fs_.flush();
       co_return Response{};
     }
-    case Op::compact_overflow:
-      co_return co_await do_compact_overflow(r);
     case Op::remove_file: {
       fs_.remove(data_name(r.handle));
       fs_.remove(ovfl_name(r.handle));
@@ -471,6 +479,14 @@ sim::Task<Response> IoServer::exec_one(const Request& r, bool prelocked,
       fs_.remove(red_name(r.handle, r.red_gen));
       co_return Response{};
     }
+    case Op::read_data:
+    case Op::write_data:
+    case Op::write_overflow:
+    case Op::read_data_raw:
+    case Op::read_mirror:
+    case Op::read_own_overflow:
+    case Op::compact_overflow:
+      break;  // forwarded by exec_one, never reach here
     case Op::batch:
     case Op::shutdown:
       break;  // batches never nest; shutdown is the dispatcher's

@@ -249,9 +249,15 @@ class IoServer {
   /// Execute one (non-batch) request and produce its response. `prelocked`
   /// means an enclosing batch already acquired this read_red's parity lock.
   /// `ctx` (tracing only) carries the request span's lane so stage spans
-  /// nest under it; default = untraced.
+  /// nest under it; default = untraced. Not a coroutine: pure-forward ops
+  /// return their handler's Task, the rest go through exec_inline. Either
+  /// way the Task refers to `r`, which must outlive the await.
   sim::Task<Response> exec_one(const Request& r, bool prelocked,
                                obs::Ctx ctx = {});
+  /// The ops exec_one does not forward: parity locking and the inline
+  /// metadata/maintenance ops, in one coroutine.
+  sim::Task<Response> exec_inline(const Request& r, bool prelocked,
+                                  obs::Ctx ctx);
   /// Execute an Op::batch envelope: acquire every sub-lock in ascending
   /// key order, then run the subs in order, merging adjacent reads.
   sim::Task<Response> exec_batch(const Request& r, obs::Ctx ctx = {});
@@ -293,7 +299,9 @@ class IoServer {
   /// (mirror/parity/overflow), so redundancy requests do not steal data
   /// bandwidth on the same server — this is what lets RAID1 scale per
   /// server like RAID0 until the *client link* saturates (Figure 4a).
-  sim::Task<void> pace(const Request& r, std::uint64_t bytes);
+  /// Returns the stream's awaiter (no frame); defined in io_server.cpp
+  /// ahead of its callers so the return type deduces.
+  [[nodiscard]] auto pace(const Request& r, std::uint64_t bytes);
   sim::BandwidthServer& stream_for(hw::NodeId client, bool redundancy);
 
   void apply_invalidation(const Request& r);

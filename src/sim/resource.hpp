@@ -5,12 +5,17 @@
 // booked from max(now, busy_until); there is no explicit queue, yet the
 // result is exact FIFO service with full work conservation. Utilization and
 // byte counters feed the bench reports.
+//
+// transfer() and occupy() are plain functions, not coroutines: they book the
+// slot when called and hand back the simulation's sleep awaiter, so awaiting
+// one costs exactly one event and no coroutine frame. Every caller awaits
+// the call in the same expression, which makes booking at call time the same
+// as booking at await time.
 #pragma once
 
 #include <cstdint>
 
 #include "sim/simulation.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace csar::sim {
@@ -24,21 +29,24 @@ class BandwidthServer {
   BandwidthServer(const BandwidthServer&) = delete;
   BandwidthServer& operator=(const BandwidthServer&) = delete;
 
-  /// Occupy the resource for `bytes`; completes when the transfer finishes.
-  Task<void> transfer(std::uint64_t bytes) {
-    bytes_total_ += bytes;
-    co_await occupy(per_op_ + transfer_time(bytes, bytes_per_sec_));
-  }
-
   /// Occupy the resource for an explicit service duration (used for compute
   /// charges whose rate differs from the byte rate, e.g. XOR vs memcpy).
-  Task<void> occupy(Duration dur) {
+  /// Books the slot now and returns the wake-up awaiter, so the call must be
+  /// awaited in the same expression (`co_await r.occupy(d)`).
+  [[nodiscard]] auto occupy(Duration dur) {
     const Time start =
         sim_->now() > busy_until_ ? sim_->now() : busy_until_;
     busy_until_ = start + dur;
     busy_time_ += dur;
     ++ops_total_;
-    co_await sim_->sleep_until(busy_until_);
+    return sim_->sleep_until(busy_until_);
+  }
+
+  /// Occupy the resource for `bytes`; the awaiter completes when the
+  /// transfer finishes. Same booking contract as occupy().
+  [[nodiscard]] auto transfer(std::uint64_t bytes) {
+    bytes_total_ += bytes;
+    return occupy(per_op_ + transfer_time(bytes, bytes_per_sec_));
   }
 
   /// Earliest time a new transfer could start.

@@ -1,10 +1,10 @@
 #include "sim/slab.hpp"
 
+#include <sys/mman.h>
+
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
-#include <vector>
 
 namespace csar::sim::slab {
 namespace {
@@ -20,7 +20,6 @@ constexpr std::size_t kChunkBytes = 256 * 1024;
 
 struct State {
   void* free_list[kClasses] = {};            // heads of per-class lists
-  std::vector<std::unique_ptr<char[]>> chunks;
   char* bump = nullptr;                      // carve pointer into last chunk
   std::size_t bump_left = 0;
   Stats stats;
@@ -35,11 +34,17 @@ std::uint32_t class_of(std::size_t total) {
   return static_cast<std::uint32_t>((total - 1) / kGranule);
 }
 
+// Chunks are mapped directly instead of taken from malloc. A chunk is never
+// freed, so one carved out of the brk heap pins the heap top wherever it
+// lands, and the process's peak RSS would then depend on when frame demand
+// happened to grow rather than on how much memory is live.
 void* carve(std::size_t bytes) {
   State& s = state();
   if (s.bump_left < bytes) {
-    s.chunks.push_back(std::make_unique<char[]>(kChunkBytes));
-    s.bump = s.chunks.back().get();
+    void* chunk = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (chunk == MAP_FAILED) throw std::bad_alloc();
+    s.bump = static_cast<char*>(chunk);
     s.bump_left = kChunkBytes;
     s.stats.chunk_bytes += kChunkBytes;
   }

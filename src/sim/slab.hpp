@@ -5,8 +5,9 @@
 // coroutine frames (every co_awaited Task<T> is one heap allocation under
 // the default allocator). The slab recycles freed blocks through per-class
 // free lists carved from large chunks, so the steady state never touches
-// malloc. Blocks are never returned to the OS; peak usage is bounded by the
-// peak number of live frames, which the simulator's structure keeps small.
+// malloc. Chunks are mapped from the OS and never returned; peak usage is
+// bounded by the peak number of live frames, which the simulator's structure
+// keeps small.
 //
 // Single-threaded by design, like the simulator itself.
 //

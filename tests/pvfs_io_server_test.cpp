@@ -7,6 +7,7 @@
 
 #include "raid/diagnostics.hpp"
 #include "raid/rig.hpp"
+#include "sim/slab.hpp"
 #include "test_util.hpp"
 
 namespace csar::pvfs {
@@ -224,6 +225,59 @@ TEST(IoServer, DiagnosticsTableRenders) {
   const std::string table = raid::rig_stats_table(fx.rig).to_string();
   EXPECT_NE(table.find("s0"), std::string::npos);
   EXPECT_NE(table.find("cache hit%"), std::string::npos);
+}
+
+TEST(IoServer, FramesPerRpcRoundTrip) {
+  // Pins the coroutine frames (slab allocations, counted even with the slab
+  // disabled) and events of one Client::rpc round trip, so a pass-through
+  // wrapper added anywhere on the per-message path shows up here.
+  //
+  // ping, 7 frames:
+  //   client  1 rpc_attempts (both rpc() overloads forward, no frame)
+  //           2 Fabric::transfer, request (NIC tx/rx awaits are frame-free)
+  //   server  3 spawn's root wrapper  4 handle  (iod dispatch: no frame)
+  //           5 exec_inline (ping is answered inline)
+  //           6 reply  7 Fabric::transfer, reply
+  // write_data (phantom, one page), 9 frames: 1-4 and 6-7 as above, plus
+  //           do_write_data (exec_one returns it directly; pace: no frame),
+  //           LocalFs::write_stream, PageCache::write (memory bus: no frame).
+  // Events: 3 per fabric transfer (tx, wire, rx), the dispatcher's wake-up,
+  // the iod charge, the reply delivery; write_data adds its stream pacing
+  // and the memory-bus copy.
+  Fx fx;
+  struct Counts {
+    std::uint64_t frames = 0;
+    std::uint64_t events = 0;
+  };
+  Counts ping[2], write[2];
+  run_sim_void(fx.rig, [](Fx& f, Counts* p, Counts* w) -> sim::Task<void> {
+    auto& sim = f.rig.sim;
+    // Two rounds: the second runs with the server's stream, handle and
+    // page-table state already in place and must cost the same.
+    for (int i = 0; i < 2; ++i) {
+      std::uint64_t a0 = sim::slab::stats().allocs;
+      std::uint64_t e0 = sim.events_executed();
+      auto pong = co_await f.rig.client().rpc(0, f.make(Op::ping, 0));
+      EXPECT_TRUE(pong.ok);
+      p[i] = {sim::slab::stats().allocs - a0, sim.events_executed() - e0};
+
+      Request req = f.make(Op::write_data, 7);
+      req.off = static_cast<std::uint64_t>(i) * kSu;
+      req.payload = Buffer::phantom(kSu);
+      a0 = sim::slab::stats().allocs;
+      e0 = sim.events_executed();
+      auto wr = co_await f.rig.client().rpc(0, std::move(req));
+      EXPECT_TRUE(wr.ok);
+      w[i] = {sim::slab::stats().allocs - a0, sim.events_executed() - e0};
+    }
+  }(fx, ping, write));
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ping[i].frames, 7u);
+    EXPECT_EQ(ping[i].events, 9u);
+    EXPECT_EQ(write[i].frames, 9u);
+    EXPECT_EQ(write[i].events, 11u);
+  }
 }
 
 }  // namespace
