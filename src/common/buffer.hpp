@@ -14,6 +14,13 @@
 // its view, so two buffers can never observe each other's writes. Value
 // semantics are exactly those of the old deep-copy representation, minus the
 // copies.
+//
+// Backing is one allocation: a shared byte array whose refcount lives in the
+// same block (make_shared_for_overwrite), so building a payload costs one
+// malloc and no zero-fill. That is safe only because every public
+// constructor defines every byte before the buffer escapes — real() zeroes,
+// pattern() fills, concat() copies its parts, resize() zero-extends — and
+// the uninitialised allocation itself (for_overwrite) stays private.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +48,12 @@ class Buffer {
   /// Materialized buffer filled with a deterministic pattern derived from
   /// `seed` (used by tests to make every file region distinguishable).
   static Buffer pattern(std::uint64_t size, std::uint64_t seed);
+
+  /// The parts laid end to end. A single non-empty part (empty parts aside)
+  /// is returned sharing its bytes; otherwise one allocation receives one
+  /// copy of each part. All parts must have the same materialization;
+  /// phantom parts give a phantom buffer of the summed size.
+  static Buffer concat(std::span<const Buffer> parts);
 
   std::uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -80,12 +93,16 @@ class Buffer {
   /// shares it. After this, writes through data_ are invisible elsewhere.
   void ensure_unique();
 
+  /// Materialized buffer of `size` bytes whose contents are indeterminate;
+  /// the caller must write every byte before the buffer escapes.
+  static Buffer for_overwrite(std::uint64_t size);
+
   std::uint64_t size_ = 0;
   bool materialized_ = true;
-  std::uint64_t off_ = 0;  ///< view start within *data_
+  std::uint64_t off_ = 0;  ///< view start within data_
   /// Backing bytes; null for phantom and for empty buffers. May be larger
   /// than the view and shared with other buffers (see ensure_unique).
-  std::shared_ptr<std::vector<std::byte>> data_;
+  std::shared_ptr<std::byte[]> data_;
 };
 
 }  // namespace csar

@@ -119,26 +119,11 @@ sim::Task<LocalFs::ReadOutcome> LocalFs::read_checked(const std::string& name,
       hw::IoStatus::media_error;
 
   // Assemble content; if any stored chunk is phantom, the result is phantom.
-  const auto chunks = f.content.query(off, off + len);
-  bool phantom = !materialized_hint;
-  for (const auto& c : chunks) {
-    if (!c.value->materialized()) phantom = true;
-  }
-  if (phantom) co_return ReadOutcome{Buffer::phantom(len), media_error};
-  if (chunks.size() == 1 && chunks[0].start == off &&
-      chunks[0].end == off + len) {
-    // One stored run covers the whole request: hand out a zero-copy view
-    // (the common case for block-aligned rereads of buffered writes).
-    co_return ReadOutcome{
-        chunks[0].value->slice(off - chunks[0].entry_start, len),
-        media_error};
-  }
-  Buffer out = Buffer::real(len);
-  for (const auto& c : chunks) {
-    out.write_at(c.start - off,
-                 c.value->slice(c.start - c.entry_start, c.end - c.start));
-  }
-  co_return ReadOutcome{std::move(out), media_error};
+  // One stored run covering the whole request comes back as a zero-copy
+  // view (the common case for block-aligned rereads of buffered writes).
+  co_return ReadOutcome{materialized_hint ? read_range(f.content, off, len)
+                                          : Buffer::phantom(len),
+                        media_error};
 }
 
 sim::Task<void> LocalFs::flush() { co_await cache_->flush_all(); }

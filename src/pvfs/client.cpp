@@ -385,19 +385,19 @@ Buffer Client::gather_for_server(const StripeLayout& layout,
                                  std::uint32_t s) {
   // Per-unit pieces of one server appear in increasing local (and global)
   // order and tile the server's merged extent exactly.
-  std::uint64_t total = 0;
-  for (const auto& e : layout.decompose(off, data.size())) {
-    if (e.server == s) total += e.len;
+  const auto pieces = layout.decompose(off, data.size());
+  if (!data.materialized()) {
+    std::uint64_t total = 0;
+    for (const auto& e : pieces) {
+      if (e.server == s) total += e.len;
+    }
+    return Buffer::phantom(total);
   }
-  if (!data.materialized()) return Buffer::phantom(total);
-  Buffer out = Buffer::real(total);
-  std::uint64_t pos = 0;
-  for (const auto& e : layout.decompose(off, data.size())) {
-    if (e.server != s) continue;
-    out.write_at(pos, data.slice(e.global_off - off, e.len));
-    pos += e.len;
+  std::vector<Buffer> parts;
+  for (const auto& e : pieces) {
+    if (e.server == s) parts.push_back(data.slice(e.global_off - off, e.len));
   }
-  return out;
+  return Buffer::concat(parts);
 }
 
 sim::Task<Result<void>> Client::write_striped(const OpenFile& f,
@@ -446,18 +446,20 @@ sim::Task<Result<Buffer>> Client::read(const OpenFile& f, std::uint64_t off,
     // Single-server read: the reply already is the file-order bytes.
     co_return std::move(resps[0].data);
   }
-  // Scatter each server's locally-contiguous reply back into file order.
-  Buffer out = Buffer::real(len);
+  // Scatter each server's locally-contiguous reply back into file order:
+  // the per-unit pieces, walked in file order, each take the next bytes of
+  // their server's reply.
+  std::vector<const Buffer*> reply(f.layout.n(), nullptr);
   for (std::size_t i = 0; i < merged.size(); ++i) {
-    const std::uint32_t s = merged[i].server;
-    std::uint64_t pos = 0;
-    for (const auto& e : f.layout.decompose(off, len)) {
-      if (e.server != s) continue;
-      out.write_at(e.global_off - off, resps[i].data.slice(pos, e.len));
-      pos += e.len;
-    }
+    reply[merged[i].server] = &resps[i].data;
   }
-  co_return out;
+  std::vector<std::uint64_t> cursor(f.layout.n(), 0);
+  std::vector<Buffer> parts;
+  for (const auto& e : f.layout.decompose(off, len)) {
+    parts.push_back(reply[e.server]->slice(cursor[e.server], e.len));
+    cursor[e.server] += e.len;
+  }
+  co_return Buffer::concat(parts);
 }
 
 sim::Task<Result<void>> Client::flush(const OpenFile& f) {

@@ -110,13 +110,13 @@ sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
 }
 
 Buffer CsarFs::full_group_parity(const StripeLayout& layout, std::uint64_t g,
-                                 std::uint64_t off,
-                                 const Buffer& data) const {
+                                 std::uint64_t off, const Buffer& data) {
   const std::uint64_t su = layout.su();
   if (!data.materialized()) return Buffer::phantom(su);
-  Buffer parity = Buffer::real(su);
-  for (std::uint64_t pos = layout.group_start(g); pos < layout.group_end(g);
-       pos += su) {
+  // Start from the first unit (a view; the first XOR makes it private).
+  Buffer parity = data.slice(layout.group_start(g) - off, su);
+  for (std::uint64_t pos = layout.group_start(g) + su;
+       pos < layout.group_end(g); pos += su) {
     parity.xor_with(data.slice(pos - off, su));
   }
   return parity;
@@ -129,7 +129,6 @@ void CsarFs::build_full_parity_writes(
     std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs,
     std::uint64_t& xor_bytes) {
   const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
   // Bucket groups by parity server; each bucket's parity units are
   // contiguous in that server's redundancy file (every N-th group), so one
   // merged write per server suffices.
@@ -138,23 +137,18 @@ void CsarFs::build_full_parity_writes(
     buckets[layout.parity_server(g)].push_back(g);
   }
   for (auto& [server, groups] : buckets) {
-    Buffer payload = data.materialized()
-                         ? Buffer::real(groups.size() * su)
-                         : Buffer::phantom(groups.size() * su);
+    std::vector<Buffer> parities;
     for (std::size_t i = 0; i < groups.size(); ++i) {
       assert(i == 0 || layout.parity_local_unit(groups[i]) ==
                            layout.parity_local_unit(groups[i - 1]) + 1);
-      if (data.materialized()) {
-        payload.write_at(i * su,
-                         full_group_parity(layout, groups[i], off, data));
-      }
+      parities.push_back(full_group_parity(layout, groups[i], off, data));
       xor_bytes += layout.stripe_width();
     }
     Request r;
     r.op = Op::write_red;
     r.handle = f.handle;
     r.off = layout.parity_local_off(groups.front());
-    r.payload = std::move(payload);
+    r.payload = Buffer::concat(parities);
     r.su = layout.stripe_unit;
     r.red_gen = red_gen;
     reqs.emplace_back(server, std::move(r));
@@ -1092,11 +1086,14 @@ sim::Task<Result<Buffer>> CsarFs::read_balanced(const pvfs::OpenFile& f,
     if (!resp.data.materialized()) phantom = true;
   }
   if (phantom) co_return Buffer::phantom(len);
-  Buffer out = Buffer::real(len);
+  // The per-unit pieces tile [off, off+len) in file order.
+  std::vector<Buffer> parts;
+  parts.reserve(resps.size());
   for (std::size_t i = 0; i < pieces.size(); ++i) {
-    out.write_at(pieces[i].global_off - off, resps[i].data);
+    assert(resps[i].data.size() == pieces[i].len);
+    parts.push_back(std::move(resps[i].data));
   }
-  co_return out;
+  co_return Buffer::concat(parts);
 }
 
 sim::Task<std::optional<std::uint32_t>> CsarFs::find_failed_server(

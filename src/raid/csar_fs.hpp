@@ -168,6 +168,13 @@ class CsarFs {
   sim::Task<Result<void>> compact(const pvfs::OpenFile& f,
                                   std::uint64_t file_size);
 
+  /// Parity unit of group `g`, which `data` (placed at file offset `off`)
+  /// covers in full: the XOR of the group's data units. Phantom data gives
+  /// a phantom unit.
+  static Buffer full_group_parity(const pvfs::StripeLayout& layout,
+                                  std::uint64_t g, std::uint64_t off,
+                                  const Buffer& data);
+
  private:
   /// write() minus the listener bracketing: failover handling + dispatch.
   sim::Task<Result<void>> write_guarded(const pvfs::OpenFile& f,
@@ -209,10 +216,6 @@ class CsarFs {
 
   /// Charge the client CPU for XOR-ing `bytes` (skipped for RAID5-npc).
   sim::Task<void> charge_xor(Scheme sch, std::uint64_t bytes);
-
-  /// Parity unit content for a group fully covered by this write.
-  Buffer full_group_parity(const pvfs::StripeLayout& layout, std::uint64_t g,
-                           std::uint64_t off, const Buffer& data) const;
 
   /// Append per-server merged parity writes for the fully covered groups
   /// [g0, g1) to `reqs`, targeting redundancy generation `red_gen`.

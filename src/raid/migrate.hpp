@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/interval_set.hpp"
@@ -158,14 +159,20 @@ class SchemeMigrator final : public CsarFs::WriteListener {
 
   sim::Simulation& sim() const { return rig_->sim; }
 
-  sim::Task<void> supervisor(std::uint64_t my_gen);
+  /// Runs until the shared generation moves past `my_gen`. It holds the
+  /// token itself, so after a sleep it can see stop() — or the migrator's
+  /// destruction — without touching `this`.
+  sim::Task<void> supervisor(std::shared_ptr<const std::uint64_t> gen,
+                             std::uint64_t my_gen);
   sim::Task<void> migrate_task(std::uint64_t handle, Scheme to);
 
   Rig* rig_;
   MigrateParams p_;
   std::map<std::uint64_t, Tracked> files_;
   MigrateStats stats_;
-  std::uint64_t gen_ = 0;
+  /// Supervisor generation, bumped by start() and stop(); shared with the
+  /// running supervisor (see supervisor()).
+  std::shared_ptr<std::uint64_t> gen_ = std::make_shared<std::uint64_t>(0);
   std::uint32_t active_ = 0;
   std::uint64_t rpc_pressure_seen_ = 0;  ///< last sampled timeouts+resets
   sim::TokenBucket* shared_bucket_ = nullptr;  ///< see set_shared_bucket

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "raid/csar_fs.hpp"
 #include "sim/sync.hpp"
 
 namespace csar::raid {
@@ -276,17 +277,18 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
     co_return co_await degraded_read_rs(f, sch, off, len, std::move(down));
   }
   if (len == 0) co_return Buffer::real(0);
-  Buffer out = Buffer::real(len);
+  // One part per unit piece, in file order; each task fills its own.
+  const auto pieces = f.layout.decompose(off, len);
+  std::vector<Buffer> parts(pieces.size());
   bool phantom = false;
   bool error = false;
   Error first_error;
   std::vector<sim::Task<void>> tasks;
-  for (const auto& e : f.layout.decompose(off, len)) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
     tasks.push_back(
         [](Recovery* self, const pvfs::OpenFile* file,
-           StripeLayout::Extent ext, std::uint32_t fsrv, std::uint64_t base,
-           Buffer* sink, bool* phant, bool* err,
-           Error* ferr) -> sim::Task<void> {
+           StripeLayout::Extent ext, std::uint32_t fsrv, Buffer* sink,
+           bool* phant, bool* err, Error* ferr) -> sim::Task<void> {
           Result<Buffer> piece = Buffer::real(0);
           if (ext.server == fsrv) {
             piece = co_await self->reconstruct_piece(*file, fsrv,
@@ -307,17 +309,16 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
             *err = true;
             co_return;
           }
-          if (!piece.value().materialized()) {
-            *phant = true;
-          } else if (sink->materialized()) {
-            sink->write_at(ext.global_off - base, piece.value());
-          }
-        }(this, &f, e, failed, off, &out, &phantom, &error, &first_error));
+          assert(piece.value().size() == ext.len);
+          if (!piece.value().materialized()) *phant = true;
+          *sink = std::move(piece.value());
+        }(this, &f, pieces[i], failed, &parts[i], &phantom, &error,
+          &first_error));
   }
   co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
   if (error) co_return first_error;
   if (phantom) co_return Buffer::phantom(len);
-  co_return out;
+  co_return Buffer::concat(parts);
 }
 
 sim::Task<Result<Buffer>> Recovery::degraded_read(
@@ -344,16 +345,18 @@ sim::Task<Result<Buffer>> Recovery::degraded_read_rs(
     co_return Error{Errc::server_failed,
                     "rs: more concurrent failures than coding fragments"};
   }
-  Buffer out = Buffer::real(len);
+  // One part per unit piece, in file order; each task fills its own.
+  const auto pieces = f.layout.decompose(off, len);
+  std::vector<Buffer> parts(pieces.size());
   bool phantom = false;
   bool error = false;
   Error first_error;
   std::vector<sim::Task<void>> tasks;
-  for (const auto& e : f.layout.decompose(off, len)) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
     tasks.push_back(
         [](Recovery* self, const pvfs::OpenFile* file, Scheme sch,
            StripeLayout::Extent ext, const std::vector<std::uint32_t>* down,
-           std::uint64_t base, Buffer* sink, bool* phant, bool* err,
+           Buffer* sink, bool* phant, bool* err,
            Error* ferr) -> sim::Task<void> {
           Result<Buffer> piece = Buffer::real(0);
           if (contains(*down, ext.server)) {
@@ -375,18 +378,16 @@ sim::Task<Result<Buffer>> Recovery::degraded_read_rs(
             *err = true;
             co_return;
           }
-          if (!piece.value().materialized()) {
-            *phant = true;
-          } else if (sink->materialized()) {
-            sink->write_at(ext.global_off - base, piece.value());
-          }
-        }(this, &f, sch, e, &failed, off, &out, &phantom, &error,
+          assert(piece.value().size() == ext.len);
+          if (!piece.value().materialized()) *phant = true;
+          *sink = std::move(piece.value());
+        }(this, &f, sch, pieces[i], &failed, &parts[i], &phantom, &error,
           &first_error));
   }
   co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
   if (error) co_return first_error;
   if (phantom) co_return Buffer::phantom(len);
-  co_return out;
+  co_return Buffer::concat(parts);
 }
 
 namespace {
@@ -495,17 +496,11 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
          g < ws.full_end / layout.stripe_width(); ++g) {
       const std::uint32_t ps = layout.parity_server(g);
       if (ps != failed) {
-        Buffer parity = data.materialized() ? Buffer::real(su)
-                                            : Buffer::phantom(su);
-        for (std::uint64_t pos = layout.group_start(g);
-             pos < layout.group_end(g); pos += su) {
-          if (data.materialized()) parity.xor_with(data.slice(pos - off, su));
-        }
         Request w;
         w.op = Op::write_red;
         w.handle = f.handle;
         w.off = layout.parity_local_off(g);
-        w.payload = std::move(parity);
+        w.payload = CsarFs::full_group_parity(layout, g, off, data);
         w.su = layout.stripe_unit;
         w.red_gen = gen;
         if (inval) {

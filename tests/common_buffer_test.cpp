@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace csar {
 namespace {
 
@@ -131,6 +135,96 @@ TEST(Buffer, PatternZeroLength) {
   Buffer a = Buffer::pattern(0, 77);
   EXPECT_TRUE(a.empty());
   EXPECT_TRUE(a.materialized());
+}
+
+TEST(Buffer, ResizeGrowOfSharedViewZeroExtends) {
+  // The view is a prefix of larger shared backing: growing must zero the
+  // tail, not expose the bytes that follow the view in the backing.
+  const Buffer whole = Buffer::pattern(64, 5);
+  Buffer a = whole.slice(0, 8);
+  a.resize(16);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.bytes()[i], whole.bytes()[i]);
+  }
+  for (std::size_t i = 8; i < 16; ++i) EXPECT_EQ(a.bytes()[i], std::byte{0});
+  EXPECT_EQ(whole, Buffer::pattern(64, 5));
+}
+
+TEST(Buffer, PatternMatchesGoldenHash) {
+  // FNV-1a over Buffer::pattern(4096, 7). The bytes feed storm shadows,
+  // scrub checksums and run fingerprints, so the storage behind them must
+  // never change them.
+  const Buffer b = Buffer::pattern(4096, 7);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::byte x : b.bytes()) {
+    h ^= std::to_integer<std::uint64_t>(x);
+    h *= 1099511628211ULL;
+  }
+  EXPECT_EQ(h, 0xca00e8d34489accdULL);
+}
+
+TEST(Buffer, FromBytesKeepsTheVectorsBytes) {
+  std::vector<std::byte> v(100);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::byte(i * 7);
+  const std::vector<std::byte> expect = v;
+  const Buffer b = Buffer::from_bytes(std::move(v));
+  ASSERT_EQ(b.size(), expect.size());
+  EXPECT_TRUE(std::equal(b.bytes().begin(), b.bytes().end(), expect.begin()));
+}
+
+TEST(Buffer, ConcatOfOneNonEmptyPartSharesItsBytes) {
+  const Buffer part = Buffer::pattern(64, 3);
+  const std::vector<Buffer> parts = {Buffer(), part.slice(8, 32),
+                                     Buffer::real(0)};
+  const Buffer out = Buffer::concat(parts);
+  EXPECT_EQ(out.size(), 32u);
+  EXPECT_EQ(out.bytes().data(), part.bytes().data() + 8);  // no copy
+  EXPECT_EQ(out, part.slice(8, 32));
+}
+
+TEST(Buffer, ConcatOfSeveralPartsMatchesHandBuiltBytes) {
+  const Buffer a = Buffer::pattern(10, 1);
+  const Buffer b = Buffer::pattern(7, 2);
+  const Buffer c = Buffer::real(5);
+  const std::vector<Buffer> parts = {a, Buffer(), b, c};
+  std::vector<std::byte> expect;
+  for (const Buffer& p : parts) {
+    expect.insert(expect.end(), p.bytes().begin(), p.bytes().end());
+  }
+  const Buffer out = Buffer::concat(parts);
+  EXPECT_TRUE(out.materialized());
+  EXPECT_EQ(out, Buffer::from_bytes(expect));
+}
+
+TEST(Buffer, ConcatOfPhantomPartsIsPhantomOfSummedSize) {
+  const std::vector<Buffer> parts = {Buffer::phantom(10), Buffer::phantom(0),
+                                     Buffer::phantom(22)};
+  const Buffer out = Buffer::concat(parts);
+  EXPECT_FALSE(out.materialized());
+  EXPECT_EQ(out.size(), 32u);
+}
+
+TEST(Buffer, ConcatOfNothingIsEmpty) {
+  const Buffer out = Buffer::concat({});
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(out.materialized());
+}
+
+TEST(Buffer, ConcatResultAndPartsNeverSeeEachOthersWrites) {
+  for (const bool single : {true, false}) {
+    std::vector<Buffer> parts = {Buffer::pattern(16, 4)};
+    if (!single) parts.push_back(Buffer::pattern(16, 5));
+    const std::vector<Buffer> orig_parts = {parts.front().slice(0, 16)};
+    Buffer out = Buffer::concat(parts);
+    const Buffer orig_out = Buffer::concat(parts);
+
+    out.mutable_bytes()[0] ^= std::byte{0xFF};
+    EXPECT_EQ(parts.front(), orig_parts.front());
+
+    out = Buffer::concat(parts);
+    parts.front().mutable_bytes()[0] ^= std::byte{0xFF};
+    EXPECT_EQ(out, orig_out);
+  }
 }
 
 }  // namespace

@@ -67,6 +67,35 @@ TEST(LocalFs, HolesReadAsZeros) {
   }(f.fs));
 }
 
+TEST(LocalFs, ReadAcrossStoredHoleStoredIsZeroExactlyInTheHole) {
+  Fixture f;
+  f.run([](LocalFs& fs) -> sim::Task<void> {
+    const Buffer a = Buffer::pattern(300, 1);
+    const Buffer b = Buffer::pattern(200, 2);
+    co_await fs.write("a", 100, a.slice(0, 300));
+    co_await fs.write("a", 700, b.slice(0, 200));
+    // [50, 950): unstored head, a, hole [400, 700), b, unstored tail.
+    const Buffer got = co_await fs.read("a", 50, 900);
+    EXPECT_EQ(got.size(), 900u);
+    if (got.size() != 900u) co_return;
+    EXPECT_EQ(got.slice(0, 50), Buffer::real(50));
+    EXPECT_EQ(got.slice(50, 300), a);
+    EXPECT_EQ(got.slice(350, 300), Buffer::real(300));
+    EXPECT_EQ(got.slice(650, 200), b);
+    EXPECT_EQ(got.slice(850, 50), Buffer::real(50));
+  }(f.fs));
+}
+
+TEST(LocalFs, ReadInsideOneStoredRunIsAView) {
+  Fixture f;
+  f.run([](LocalFs& fs) -> sim::Task<void> {
+    const Buffer data = Buffer::pattern(4096, 3);
+    co_await fs.write("a", 0, data.slice(0, 4096));
+    const Buffer got = co_await fs.read("a", 1000, 2000);
+    EXPECT_EQ(got.bytes().data(), data.bytes().data() + 1000);  // no copy
+  }(f.fs));
+}
+
 TEST(LocalFs, AbsentFileReadsZeros) {
   Fixture f;
   f.run([](LocalFs& fs) -> sim::Task<void> {

@@ -4,7 +4,9 @@
 
 #include <set>
 
+#include "common/buffer.hpp"
 #include "common/rng.hpp"
+#include "pvfs/client.hpp"
 
 namespace csar::pvfs {
 namespace {
@@ -270,6 +272,42 @@ TEST(Layout, TwoServerDegenerateParity) {
   EXPECT_EQ(l.stripe_width(), 1024u);
   EXPECT_EQ(l.parity_server(0), 1u);  // unit 0 on s0 -> parity on s1
   EXPECT_EQ(l.parity_server(1), 0u);  // unit 1 on s1 -> parity on s0
+}
+
+TEST(Layout, GatherWithinOneUnitIsAViewOfTheCallersBytes) {
+  StripeLayout l{1024, 4};
+  const Buffer data = Buffer::pattern(500, 1);
+  const std::uint64_t off = 1024 + 100;  // inside unit 1, on server 1
+  const Buffer got = Client::gather_for_server(l, off, data, 1);
+  EXPECT_EQ(got.size(), 500u);
+  EXPECT_EQ(got.bytes().data(), data.bytes().data());  // no copy
+  EXPECT_TRUE(Client::gather_for_server(l, off, data, 0).empty());
+}
+
+TEST(Layout, GatherAcrossStripesGivesEachServersBytesInLocalOrder) {
+  const std::uint64_t su = 1024;
+  const std::uint32_t n = 4;
+  StripeLayout l{su, n};
+  const std::uint64_t off = 512;
+  const std::uint64_t len = 3 * n * su + 300;
+  const Buffer data = Buffer::pattern(len, 2);
+  std::uint64_t sum = 0;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    // Byte i of the file lives on server (i / su) % n, and a server's
+    // local order is its global order.
+    std::vector<std::byte> expect;
+    for (std::uint64_t i = off; i < off + len; ++i) {
+      if ((i / su) % n == s) expect.push_back(data.bytes()[i - off]);
+    }
+    const Buffer got = Client::gather_for_server(l, off, data, s);
+    EXPECT_EQ(got, Buffer::from_bytes(expect)) << "server " << s;
+    sum += got.size();
+  }
+  EXPECT_EQ(sum, len);
+  const Buffer phantom =
+      Client::gather_for_server(l, off, Buffer::phantom(len), 1);
+  EXPECT_FALSE(phantom.materialized());
+  EXPECT_EQ(phantom.size(), Client::gather_for_server(l, off, data, 1).size());
 }
 
 }  // namespace
