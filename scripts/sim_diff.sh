@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# sim_diff.sh <base-ref>: prove a change behaviour-neutral in simulation.
+#
+# Builds <base-ref> (in a temporary git worktree) and the current working
+# tree, both RelWithDebInfo, runs every deterministic simulation surface on
+# each, and diffs their stdout and exit codes:
+#   - the paper figures F1, F3, F4a, F4b, F5-F8, Table 2 and §5.2;
+#   - every bench_ablate_* except the host-timed A1 (parity_kernel) and A11
+#     (obs_overhead); A7 (rebuild) is compared up to its exit code too;
+#   - the SIM lines of bench_sim_scale --quick (its PERF lines are host time);
+#   - every examples/* program (csar_shell with empty input);
+#   - fault_storm default, --fleet and an rs-heavy --schemes list.
+# Prints SAME/DIFF per surface and exits 1 if any differ. Work files live in
+# a temporary directory that is removed on exit.
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <base-ref>" >&2
+  exit 2
+fi
+base_ref=$1
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+jobs=$(nproc)
+
+cleanup() {
+  git -C "$root" worktree remove --force "$work/base-src" >/dev/null 2>&1 || true
+  rm -rf "$work"
+}
+trap cleanup EXIT
+
+git -C "$root" worktree add --detach "$work/base-src" "$base_ref" >/dev/null
+
+benches=(
+  bench_fig1_disk_trend bench_fig3_locking bench_fig4_fullstripe
+  bench_fig4_smallwrite bench_fig5_romio bench_fig6_btio_classb
+  bench_fig7_btio_classc bench_fig8_apps bench_table2_storage
+  bench_sec52_write_buffering
+)
+for src in "$root"/bench/bench_ablate_*.cpp; do
+  name=$(basename "$src" .cpp)
+  case $name in
+    bench_ablate_parity_kernel | bench_ablate_obs_overhead) ;;  # host-timed
+    *) benches+=("$name") ;;
+  esac
+done
+examples=()
+for src in "$root"/examples/*.cpp; do examples+=("$(basename "$src" .cpp)"); done
+
+build() {  # build <src-dir> <build-dir>: every bench and example it has
+  local targets=() src
+  for src in "$1"/bench/bench_*.cpp "$1"/examples/*.cpp; do
+    targets+=("$(basename "$src" .cpp)")
+  done
+  cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build "$2" -j"$jobs" --target "${targets[@]}" >/dev/null
+}
+echo "building $base_ref and the working tree (RelWithDebInfo)..."
+build "$work/base-src" "$work/base"
+build "$root" "$work/head"
+
+# run <side> <label> <binary-relative-to-build> [args...]: stdout + exit code
+# into $work/out/<side>/<label>, run from a scratch cwd so stray output files
+# never land in the tree. A surface missing on one side shows as a DIFF.
+run() {
+  local side=$1 label=$2 bin=$3
+  shift 3
+  local out="$work/out/$side/$label"
+  mkdir -p "$work/out/$side" "$work/cwd/$side"
+  local rc=0
+  (cd "$work/cwd/$side" && "$work/$side/$bin" "$@" </dev/null >"$out" 2>/dev/null) \
+    || rc=$?
+  echo "exit=$rc" >>"$out"
+}
+
+for side in base head; do
+  for b in "${benches[@]}"; do run "$side" "$b" "bench/$b"; done
+  run "$side" sim_scale_quick bench/bench_sim_scale --quick \
+    --out="$work/cwd/$side/quick.json"
+  grep -E '^SIM|^exit=' "$work/out/$side/sim_scale_quick" \
+    >"$work/out/$side/sim_scale_quick.sim"
+  for e in "${examples[@]}"; do run "$side" "$e" "examples/$e"; done
+  run "$side" fault_storm_fleet examples/fault_storm --fleet
+  run "$side" fault_storm_rs examples/fault_storm \
+    '--schemes=rs(4,2),rs(6,3),raid1,rs(4,2)'
+done
+surfaces=("${benches[@]}" sim_scale_quick.sim "${examples[@]}"
+          fault_storm_fleet fault_storm_rs)
+
+status=0
+for s in "${surfaces[@]}"; do
+  if cmp -s "$work/out/base/$s" "$work/out/head/$s"; then
+    echo "SAME  $s"
+  else
+    echo "DIFF  $s"
+    diff "$work/out/base/$s" "$work/out/head/$s" | head -n 20 || true
+    status=1
+  fi
+done
+exit $status

@@ -6,9 +6,10 @@
 // for the ablation benchmark. The GF half generalizes parity to k+m erasure
 // codes: coding fragment j of a group is sum_i g[j][i] * data_i over
 // GF(2^8), with the generator matrix chosen so its first row is all ones —
-// RS(k,1) therefore produces byte-identical output to the XOR parity path,
-// and every classic scheme is a special case of the code (RAID1 ≈ RS(1,1),
-// RAID4/5 ≈ RS(k,1)).
+// the RS(k,1) coding fragment is byte for byte the XOR parity of its data
+// fragments, and every classic scheme is a special case of the code (RAID1
+// ≈ RS(1,1), RAID4/5 ≈ RS(k,1); the group-code engine in raid/scheme.hpp
+// runs RAID4/5 as exactly that).
 //
 // Region kernels (gf_mul_region / gf_muladd_region) follow the same layout
 // discipline as xor_words: a 32-byte-block main loop over unaligned-safe

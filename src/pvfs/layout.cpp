@@ -42,28 +42,4 @@ std::vector<StripeLayout::Extent> StripeLayout::decompose_merged(
   return out;
 }
 
-StripeLayout::WriteSplit StripeLayout::split_write(std::uint64_t off,
-                                                   std::uint64_t len) const {
-  WriteSplit ws;
-  const std::uint64_t end = off + len;
-  const std::uint64_t w = stripe_width();
-  const std::uint64_t gs = align_up(off, w);
-  const std::uint64_t ge = align_down(end, w);
-  if (gs <= ge) {
-    ws.head_start = off;
-    ws.head_end = gs;
-    ws.full_start = gs;
-    ws.full_end = ge;
-    ws.tail_start = ge;
-    ws.tail_end = end;
-  } else {
-    // Entirely inside one group: a single partial-stripe segment.
-    ws.head_start = off;
-    ws.head_end = end;
-    ws.full_start = ws.full_end = end;
-    ws.tail_start = ws.tail_end = end;
-  }
-  return ws;
-}
-
 }  // namespace csar::pvfs

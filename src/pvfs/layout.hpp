@@ -123,26 +123,15 @@ struct StripeLayout {
   // byte-identical to plain PVFS), and the group's m coding fragments go to
   // the next m servers after the group's data in rotation order, so the
   // k+m fragments of a group sit on k+m distinct servers (requires
-  // k+m <= N). With k = N-1 and m = 1 this reduces exactly to the rotating
-  // parity placement above. Coding fragment j of group g lives in server
-  // rs_coding_server(g,k,j)'s redundancy file at a slot-per-group offset
-  // (one unit-sized slot per group index, like RAID4's fixed placement) —
-  // sparse per server, but collision-free without closed-form density math.
-  std::uint64_t rs_group_of_unit(std::uint64_t u, std::uint32_t k) const {
-    return u / k;
-  }
-  std::uint64_t rs_group_of_off(std::uint64_t off, std::uint32_t k) const {
-    return rs_group_of_unit(unit_of(off), k);
-  }
+  // k+m <= N). With k = N-1 and m = 1 the coding *server* is exactly the
+  // rotating parity server above, but the *slot* is not: coding fragment j
+  // of group g lives in server rs_coding_server(g,k,j)'s redundancy file at
+  // a slot-per-group offset (one unit-sized slot per group index, like
+  // RAID4's fixed placement) — sparse per server, but collision-free
+  // without closed-form density math — where rotating parity packs its
+  // units densely (parity_local_unit = g / N).
   std::uint64_t rs_group_width(std::uint32_t k) const {
     return static_cast<std::uint64_t>(k) * stripe_unit;
-  }
-  /// Global byte range [start, end) covered by rs group g.
-  std::uint64_t rs_group_start(std::uint64_t g, std::uint32_t k) const {
-    return g * rs_group_width(k);
-  }
-  std::uint64_t rs_group_end(std::uint64_t g, std::uint32_t k) const {
-    return (g + 1) * rs_group_width(k);
   }
   /// Server holding coding fragment j of rs group g.
   std::uint32_t rs_coding_server(std::uint64_t g, std::uint32_t k,
@@ -186,11 +175,12 @@ struct StripeLayout {
     std::uint64_t full_start = 0, full_end = 0;  ///< whole groups
     std::uint64_t tail_start = 0, tail_end = 0;  ///< partial group at end
   };
-  WriteSplit split_write(std::uint64_t off, std::uint64_t len) const;
+  WriteSplit split_write(std::uint64_t off, std::uint64_t len) const {
+    return split_write_w(off, len, stripe_width());
+  }
 
-  /// split_write generalized to an arbitrary group width `w` — the rs(k,m)
-  /// paths pass w = rs_group_width(k); split_write(off, len) is exactly
-  /// split_write_w(off, len, stripe_width()).
+  /// split_write generalized to an arbitrary group width `w` (a group
+  /// code's k·su).
   WriteSplit split_write_w(std::uint64_t off, std::uint64_t len,
                            std::uint64_t w) const {
     WriteSplit ws;
@@ -205,6 +195,7 @@ struct StripeLayout {
       ws.tail_start = ge;
       ws.tail_end = end;
     } else {
+      // Entirely inside one group: a single partial-stripe segment.
       ws.head_start = off;
       ws.head_end = end;
       ws.full_start = ws.full_end = end;

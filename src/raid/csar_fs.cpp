@@ -34,30 +34,28 @@ using pvfs::Op;
 using pvfs::Request;
 using pvfs::StripeLayout;
 
-/// A partial-stripe segment of a write (the head or tail of the split).
+/// A partial-group segment of a write (the head or tail of the split).
 struct PartialSeg {
   std::uint64_t start;
   std::uint64_t end;
   std::uint64_t group;
 };
 
-std::vector<PartialSeg> partial_segments(const StripeLayout& layout,
+std::vector<PartialSeg> partial_segments(const GroupCode& gc,
                                          const StripeLayout::WriteSplit& ws) {
   std::vector<PartialSeg> out;
   if (ws.head_end > ws.head_start) {
-    out.push_back(
-        {ws.head_start, ws.head_end, layout.group_of_off(ws.head_start)});
+    out.push_back({ws.head_start, ws.head_end, gc.group_of_off(ws.head_start)});
   }
   if (ws.tail_end > ws.tail_start) {
-    out.push_back(
-        {ws.tail_start, ws.tail_end, layout.group_of_off(ws.tail_start)});
+    out.push_back({ws.tail_start, ws.tail_end, gc.group_of_off(ws.tail_start)});
   }
   // Head group < tail group, so this is already ascending — the ordered
-  // parity-lock acquisition the paper uses to avoid deadlock (§5.1).
+  // coding-lock acquisition the paper uses to avoid deadlock (§5.1).
   return out;
 }
 
-/// Byte columns of the parity unit touched by a partial segment. With more
+/// Byte columns of the coding unit touched by a partial segment. With more
 /// than one touched unit the union of per-unit column ranges may have a gap;
 /// we read/write the covering range, which is what "reads the corresponding
 /// parity region" amounts to.
@@ -87,10 +85,11 @@ Buffer match_materialization(Buffer b, bool materialized) {
 sim::Task<Result<pvfs::OpenFile>> CsarFs::create(std::string name,
                                                  pvfs::StripeLayout layout) {
   const Scheme s = p_.policy->assign(name);
-  if (s.kind == SchemeKind::rs && s.k + s.m > layout.nservers) {
-    // rs(k,m) places k+m fragments on distinct servers; a narrower rig
+  if (const auto gc = group_code(s, layout);
+      gc && gc->spec.fragments() > layout.nservers) {
+    // A group code places k+m fragments on distinct servers; a narrower rig
     // would silently double-place fragments and void the fault tolerance.
-    co_return Error{Errc::invalid_argument, "rs(k,m) needs k+m servers"};
+    co_return Error{Errc::invalid_argument, "group code needs k+m servers"};
   }
   layout.placement = placement_for(s);
   auto f = co_await client_->create(std::move(name), layout, scheme_tag(s));
@@ -98,8 +97,8 @@ sim::Task<Result<pvfs::OpenFile>> CsarFs::create(std::string name,
   co_return f;
 }
 
-sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
-  if (sch == Scheme::raid5_npc || bytes == 0) co_return;
+sim::Task<void> CsarFs::charge_xor(bool charge, std::uint64_t bytes) {
+  if (!charge || bytes == 0) co_return;
   auto& node = client_->cluster().node(client_->node_id());
   const double rate = node.params().xor_bytes_per_sec;
   // Parity computation happens on the client's single-threaded send path —
@@ -109,49 +108,64 @@ sim::Task<void> CsarFs::charge_xor(Scheme sch, std::uint64_t bytes) {
   co_await node.tx().occupy(sim::transfer_time(bytes, rate));
 }
 
-Buffer CsarFs::full_group_parity(const StripeLayout& layout, std::uint64_t g,
-                                 std::uint64_t off, const Buffer& data) {
-  const std::uint64_t su = layout.su();
+Buffer CsarFs::full_group_coding(const GroupCode& gc, std::uint64_t g,
+                                 std::uint32_t j, std::uint64_t off,
+                                 const Buffer& data) {
+  const std::uint64_t su = gc.layout.su();
   if (!data.materialized()) return Buffer::phantom(su);
-  // Start from the first unit (a view; the first XOR makes it private).
-  Buffer parity = data.slice(layout.group_start(g) - off, su);
-  for (std::uint64_t pos = layout.group_start(g) + su;
-       pos < layout.group_end(g); pos += su) {
-    parity.xor_with(data.slice(pos - off, su));
+  std::vector<Buffer> units;
+  units.reserve(gc.k());
+  for (std::uint32_t i = 0; i < gc.k(); ++i) {
+    units.push_back(data.slice(gc.group_start(g) + i * su - off, su));
   }
-  return parity;
+  return gc.encode(j, units);
 }
 
-void CsarFs::build_full_parity_writes(
-    const pvfs::OpenFile& f, std::uint64_t off, const Buffer& data,
-    std::uint64_t g0, std::uint64_t g1, bool /*hybrid_invalidate*/,
+void CsarFs::full_coding_writes(
+    const pvfs::OpenFile& f, const GroupCode& gc, std::uint64_t off,
+    const Buffer& data, std::uint64_t g0, std::uint64_t g1,
     std::uint32_t red_gen,
     std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs,
     std::uint64_t& xor_bytes) {
-  const StripeLayout& layout = f.layout;
-  // Bucket groups by parity server; each bucket's parity units are
-  // contiguous in that server's redundancy file (every N-th group), so one
-  // merged write per server suffices.
+  auto write_red = [&](std::uint32_t server, std::uint64_t red_off,
+                       Buffer payload) {
+    Request r;
+    r.op = Op::write_red;
+    r.handle = f.handle;
+    r.off = red_off;
+    r.payload = std::move(payload);
+    r.su = gc.layout.stripe_unit;
+    r.red_gen = red_gen;
+    reqs.emplace_back(server, std::move(r));
+  };
+  if (gc.rs) {
+    // (b) rs slots are one per group and consecutive groups rotate servers:
+    // one write per (group, fragment), group-major.
+    for (std::uint64_t g = g0; g < g1; ++g) {
+      for (std::uint32_t j = 0; j < gc.m(); ++j) {
+        xor_bytes += gc.width();
+        write_red(gc.coding_server(g, j), gc.coding_off(g),
+                  full_group_coding(gc, g, j, off, data));
+      }
+    }
+    return;
+  }
+  // (b) Classic parity: bucket groups by parity server; each bucket's
+  // parity units are contiguous in that server's redundancy file (every
+  // N-th group), so one merged write per server, ascending server order.
   std::map<std::uint32_t, std::vector<std::uint64_t>> buckets;
   for (std::uint64_t g = g0; g < g1; ++g) {
-    buckets[layout.parity_server(g)].push_back(g);
+    buckets[gc.coding_server(g, 0)].push_back(g);
   }
   for (auto& [server, groups] : buckets) {
     std::vector<Buffer> parities;
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      assert(i == 0 || layout.parity_local_unit(groups[i]) ==
-                           layout.parity_local_unit(groups[i - 1]) + 1);
-      parities.push_back(full_group_parity(layout, groups[i], off, data));
-      xor_bytes += layout.stripe_width();
+      assert(i == 0 || gc.coding_off(groups[i]) ==
+                           gc.coding_off(groups[i - 1]) + gc.layout.su());
+      parities.push_back(full_group_coding(gc, groups[i], 0, off, data));
+      xor_bytes += gc.width();
     }
-    Request r;
-    r.op = Op::write_red;
-    r.handle = f.handle;
-    r.off = layout.parity_local_off(groups.front());
-    r.payload = Buffer::concat(parities);
-    r.su = layout.stripe_unit;
-    r.red_gen = red_gen;
-    reqs.emplace_back(server, std::move(r));
+    write_red(server, gc.coding_off(groups.front()), Buffer::concat(parities));
   }
 }
 
@@ -296,11 +310,10 @@ sim::Task<Result<void>> CsarFs::dispatch_write(const pvfs::OpenFile& f,
     case SchemeKind::raid5:
     case SchemeKind::raid5_nolock:
     case SchemeKind::raid5_npc:
-      co_return co_await write_raid5(f, off, data, sch);
+    case SchemeKind::rs:
+      co_return co_await write_coded(f, off, data, sch);
     case SchemeKind::hybrid:
       co_return co_await write_hybrid(f, off, data);
-    case SchemeKind::rs:
-      co_return co_await write_rs(f, off, data, sch);
   }
   co_return Error{Errc::invalid_argument, "unknown scheme"};
 }
@@ -349,35 +362,45 @@ sim::Task<Result<void>> CsarFs::write_raid1(const pvfs::OpenFile& f,
   co_return Result<void>::success();
 }
 
-sim::Task<Result<void>> CsarFs::write_raid5(const pvfs::OpenFile& f,
+sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
                                             std::uint64_t off,
                                             const Buffer& data, Scheme sch) {
+  // Full groups compute their coding fragments fresh. Partial groups run
+  // the batched RMW protocol: one locked read+update per (group, coding
+  // fragment), where fragment j takes coeff(j, i) * (old ^ new) for a write
+  // to data fragment i — for m = 1 (row 0 all ones) that is the paper's
+  // parity ^= old ^ new.
   const StripeLayout& layout = f.layout;
+  const GroupCode gc = *group_code(sch, layout);
   const std::uint64_t su = layout.su();
   const std::uint64_t len = data.size();
-  const auto ws = layout.split_write(off, len);
-  const auto segs = partial_segments(layout, ws);
-  const bool locking = sch != Scheme::raid5_nolock;
+  const std::uint32_t k = gc.k();
+  const std::uint32_t m = gc.m();
+  if (gc.spec.fragments() > layout.n()) {
+    co_return Error{Errc::invalid_argument, "group code needs k+m <= N"};
+  }
+  const auto ws = layout.split_write_w(off, len, gc.width());
+  const auto segs = partial_segments(gc, ws);
   const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::uint64_t xor_bytes = 0;
 
-  // 1. For each partially-written group the client needs the old parity
-  //    (taking the parity-block lock) and the old contents of the regions
-  //    being overwritten. The old-data reads are lock-free and proceed in
-  //    parallel with the parity reads — parity deltas of disjoint regions
-  //    commute, so only the parity read->write pair must be atomic (§5.1).
-  //    The parity reads themselves are ordered lowest-group-first, the
-  //    paper's deadlock-avoidance rule.
+  // 1. For each partially-written group the client needs the old coding
+  //    columns (taking the coding-block locks) and the old contents of the
+  //    regions being overwritten. The old-data reads are lock-free and
+  //    proceed in parallel with the coding reads — coding deltas of
+  //    disjoint regions commute, so only the coding read->write pair must
+  //    be atomic (§5.1). The coding reads themselves are ordered
+  //    lowest-group-first, the paper's deadlock-avoidance rule.
   struct SegCtx {
     PartialSeg seg;
     ColRange cols;
-    Buffer parity;  // old parity, updated in place to the new parity
   };
   std::vector<SegCtx> ctx;
   ctx.reserve(segs.size());
-  for (const auto& seg : segs) {
-    ctx.push_back({seg, col_range(layout, seg), Buffer{}});
-  }
+  for (const auto& seg : segs) ctx.push_back({seg, col_range(layout, seg)});
+  // Old coding columns of (segment i, fragment j) at i*m + j, updated in
+  // place to the new coding.
+  std::vector<Buffer> coding(ctx.size() * m);
 
   std::vector<std::pair<std::uint32_t, Request>> reads;
   std::vector<std::pair<std::size_t, StripeLayout::Extent>> read_meta;
@@ -395,313 +418,29 @@ sim::Task<Result<void>> CsarFs::write_raid5(const pvfs::OpenFile& f,
   }
 
   // Shared state between this frame and the old-data reader tasks. The
-  // readers stream the delta half of the parity update: each computes
+  // readers stream the delta half of the coding update: each computes
   // old ^ new per response *as it arrives* (overlapping the XOR with the
-  // parity-lock phase below) instead of after a global join.
+  // coding-lock phase below) instead of after a global join.
   struct OldReadShared {
     CsarFs* self;
     const std::vector<std::pair<std::size_t, StripeLayout::Extent>>* meta;
     const Buffer* data;
     std::uint64_t off;
     bool materialized;
-    Scheme sch;
+    bool charge;
     std::vector<Buffer> deltas;  // indexed like read_meta
     bool failed = false;
     Errc errc = Errc::ok;
     int err_server = -1;
   };
-  OldReadShared shared{this,          &read_meta, &data, off,
-                       data.materialized(), sch,   {},    false, Errc::ok,
-                       -1};
+  OldReadShared shared{this,      &read_meta, &data, off, data.materialized(),
+                       gc.charge, {},         false, Errc::ok, -1};
   shared.deltas.resize(read_meta.size());
 
   // One reader per extent: bulk old-data responses pipeline best as
   // independent messages (the server overlaps their disk reads, and each
   // response streams back as soon as it is done). Each reader folds its
   // extent into a delta the moment the response lands.
-  auto read_one = [](OldReadShared* sh, std::uint32_t srv, Request req,
-                     std::size_t k) -> sim::Task<void> {
-    auto resp = co_await sh->self->client_->rpc(srv, std::move(req));
-    if (!resp.ok) {
-      if (!sh->failed) {
-        sh->failed = true;
-        sh->errc = resp.err;
-        sh->err_server = resp.server;
-      }
-      co_return;
-    }
-    const auto& e = (*sh->meta)[k].second;
-    Buffer delta =
-        match_materialization(std::move(resp.data), sh->materialized);
-    delta.xor_with(sh->data->slice(e.global_off - sh->off, e.len));
-    sh->deltas[k] = std::move(delta);
-    co_await sh->self->charge_xor(sh->sch, e.len);
-  };
-  std::vector<sim::ProcessHandle> readers;
-  readers.reserve(reads.size());
-  for (std::size_t k = 0; k < reads.size(); ++k) {
-    readers.push_back(client_->cluster().sim().spawn(
-        read_one(&shared, reads[k].first, std::move(reads[k].second), k)));
-  }
-
-  // 2. Parity-lock phase: one batched lock+read RPC per parity server. The
-  //    server acquires every lock of the batch atomically (ascending key
-  //    order) before answering; servers are visited sequentially in
-  //    ascending min-group order, which preserves the paper's ordered-
-  //    acquisition deadlock-avoidance rule across writers (§5.1). ctx is
-  //    ascending by group, so first-seen bucket order is exactly that.
-  struct LockBucket {
-    std::uint32_t server;
-    std::vector<std::size_t> cs;  // ctx indexes, ascending group order
-  };
-  // One token identifies this whole RMW to the lock protocol: a retried
-  // lock read re-enters its own grant, and the paired (or abandon-time)
-  // release cannot be confused with a later RMW's lock.
-  const std::uint64_t rmw_token = locking ? client_->next_rmw_token() : 0;
-  std::vector<LockBucket> lbuckets;
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    const std::uint32_t srv = layout.parity_server(ctx[i].seg.group);
-    LockBucket* b = nullptr;
-    for (auto& cand : lbuckets) {
-      if (cand.server == srv) {
-        b = &cand;
-        break;
-      }
-    }
-    if (b == nullptr) {
-      lbuckets.push_back({srv, {}});
-      b = &lbuckets.back();
-    }
-    b->cs.push_back(i);
-  }
-
-  bool parity_error = false;
-  Errc parity_errc = Errc::ok;
-  int parity_err_server = -1;
-  // Locks whose acquisition request went out; on abort each gets an
-  // explicit owner-checked release (safe even when the grant is unknown —
-  // a timed-out envelope may or may not have taken them server-side).
-  std::vector<char> lock_sent(ctx.size(), 0);
-  for (auto& b : lbuckets) {
-    std::vector<Request> subs;
-    subs.reserve(b.cs.size());
-    for (const std::size_t i : b.cs) {
-      const ColRange cr = ctx[i].cols;
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.parity_local_off(ctx[i].seg.group) + cr.lo;
-      r.len = cr.hi - cr.lo;
-      r.lock = locking;
-      r.rmw_token = rmw_token;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      subs.push_back(std::move(r));
-      if (locking) lock_sent[i] = 1;
-    }
-    auto resps = co_await client_->rpc_batch(b.server, std::move(subs));
-    for (std::size_t k = 0; k < resps.size(); ++k) {
-      if (!resps[k].ok) {
-        if (!parity_error) {
-          parity_error = true;
-          parity_errc = resps[k].err;
-          parity_err_server = resps[k].server;
-        }
-        continue;
-      }
-      ctx[b.cs[k]].parity = match_materialization(std::move(resps[k].data),
-                                                  data.materialized());
-    }
-    if (parity_error) break;
-  }
-  for (auto& h : readers) co_await h.join();
-
-  if (parity_error || shared.failed) {
-    // Abandoning the RMW with lock requests in flight: explicitly release
-    // every lock we may hold so the stripe is not wedged until the lease
-    // reaper fires. unlock_red is owner-checked and writes nothing, so it
-    // is safe to send for locks that failed their read (media error — the
-    // lock was still taken) and for grants lost to a timeout alike.
-    if (locking) {
-      std::vector<std::pair<std::uint32_t, Request>> rel;
-      for (std::size_t i = 0; i < ctx.size(); ++i) {
-        if (lock_sent[i] == 0) continue;
-        Request u;
-        u.op = Op::unlock_red;
-        u.handle = f.handle;
-        u.off = layout.parity_local_off(ctx[i].seg.group) + ctx[i].cols.lo;
-        u.rmw_token = rmw_token;
-        u.su = layout.stripe_unit;
-        u.red_gen = gen;
-        rel.emplace_back(layout.parity_server(ctx[i].seg.group),
-                         std::move(u));
-      }
-      (void)co_await client_->rpc_all(std::move(rel));
-    }
-    if (parity_error) {
-      co_return Error{parity_errc, "raid5 parity read", parity_err_server};
-    }
-    co_return Error{shared.errc, "raid5 old data", shared.err_server};
-  }
-
-  // 3. Fold the streamed deltas into the old parity: new_p = old_p ^ delta.
-  //    The old ^ new half was computed (and its XOR charged) per response
-  //    as it arrived.
-  for (std::size_t k = 0; k < read_meta.size(); ++k) {
-    const std::size_t i = read_meta[k].first;
-    const auto& e = read_meta[k].second;
-    ctx[i].parity.xor_at(e.global_off % su - ctx[i].cols.lo,
-                         shared.deltas[k]);
-    xor_bytes += e.len;
-  }
-
-  // 4. Issue every write in parallel: the updated parity for partial groups
-  //    *first* (their transfer releases the parity-block locks — sending
-  //    them ahead of the bulk data keeps the critical section short), then
-  //    the full data range (in place), then fresh parity for fully covered
-  //    groups.
-  std::vector<std::pair<std::uint32_t, Request>> writes;
-  for (auto& c : ctx) {
-    Request w;
-    w.op = Op::write_red;
-    w.handle = f.handle;
-    w.off = layout.parity_local_off(c.seg.group) + c.cols.lo;
-    w.payload = std::move(c.parity);
-    w.unlock = locking;
-    w.rmw_token = rmw_token;
-    w.su = layout.stripe_unit;
-    w.red_gen = gen;
-    writes.emplace_back(layout.parity_server(c.seg.group), std::move(w));
-  }
-  const bool inval = p_.policy->overflow_possible(f);
-  for (const auto& e : layout.decompose_merged(off, len)) {
-    Request w;
-    w.op = Op::write_data;
-    w.handle = f.handle;
-    w.off = e.local_off;
-    w.payload = pvfs::Client::gather_for_server(layout, off, data, e.server);
-    w.su = layout.stripe_unit;
-    if (inval) {
-      // An ex-Hybrid file migrated to RAID5 keeps its overflow overlay
-      // live; in-place writes must kill overlapping entries or reads would
-      // keep returning the superseded overflow bytes. The owner entry dies
-      // on the data write itself; the mirror entry lives on the successor,
-      // which gets a zero-payload invalidation-only write below. Files that
-      // were never Hybrid skip all of this and keep their exact pre-policy
-      // message traffic.
-      w.inval_own = Interval{e.local_off, e.local_off + e.len};
-      Request inv;
-      inv.op = Op::write_data;
-      inv.handle = f.handle;
-      inv.off = e.local_off;
-      inv.su = layout.stripe_unit;
-      inv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-      writes.emplace_back((e.server + 1) % layout.n(), std::move(inv));
-    }
-    writes.emplace_back(e.server, std::move(w));
-  }
-  if (ws.full_end > ws.full_start) {
-    build_full_parity_writes(f, off, data, ws.full_start / layout.stripe_width(),
-                             ws.full_end / layout.stripe_width(),
-                             /*hybrid_invalidate=*/false, gen, writes,
-                             xor_bytes);
-  }
-  if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
-  co_await charge_xor(sch, xor_bytes);
-  auto resps = co_await client_->rpc_all(std::move(writes));
-  for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "raid5 write", resp.server};
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
-                                         std::uint64_t off, const Buffer& data,
-                                         Scheme sch) {
-  // rs(k,m) generalizes the RAID5 path: a group is k consecutive units with
-  // m coding fragments on the next m servers in rotation. Full groups
-  // compute all m fragments fresh; partial groups run the same batched RMW
-  // protocol with one locked read+update per (group, coding fragment) — the
-  // XOR delta becomes m GF-scaled deltas, one per fragment (coding_j ^=
-  // coeff(j,i) * (old ^ new) for a write to data fragment i).
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint64_t len = data.size();
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  if (std::uint64_t{k} + m > layout.n()) {
-    co_return Error{Errc::invalid_argument, "rs placement needs k+m <= N"};
-  }
-  const std::uint64_t W = layout.rs_group_width(k);
-  const auto ws = layout.split_write_w(off, len, W);
-  const std::uint32_t gen = p_.policy->red_gen_of(f);
-  std::uint64_t xor_bytes = 0;
-
-  // Partial segments in ascending group order (head group < tail group):
-  // the §5.1 ordered-acquisition rule, applied to coding-server visits.
-  std::vector<PartialSeg> segs;
-  if (ws.head_end > ws.head_start) {
-    segs.push_back({ws.head_start, ws.head_end,
-                    layout.rs_group_of_off(ws.head_start, k)});
-  }
-  if (ws.tail_end > ws.tail_start) {
-    segs.push_back({ws.tail_start, ws.tail_end,
-                    layout.rs_group_of_off(ws.tail_start, k)});
-  }
-
-  struct SegCtx {
-    PartialSeg seg;
-    ColRange cols;
-    std::vector<Buffer> coding;  // old fragment columns, updated in place
-  };
-  std::vector<SegCtx> ctx;
-  ctx.reserve(segs.size());
-  for (const auto& seg : segs) {
-    ColRange cr;
-    const std::uint64_t u0 = layout.unit_of(seg.start);
-    const std::uint64_t u1 = layout.unit_of(seg.end - 1);
-    if (u0 == u1) {
-      cr = {seg.start % su, (seg.end - 1) % su + 1};
-    } else {
-      cr = {0, su};
-    }
-    ctx.push_back({seg, cr, std::vector<Buffer>(m)});
-  }
-
-  // Old-data readers: one per extent, each folding old ^ new the moment its
-  // response lands (identical streaming shape to the RAID5 path; the
-  // GF-scaled fold into each coding fragment happens after the join).
-  std::vector<std::pair<std::uint32_t, Request>> reads;
-  std::vector<std::pair<std::size_t, StripeLayout::Extent>> read_meta;
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    const auto& seg = ctx[i].seg;
-    for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = e.local_off;
-      r.len = e.len;
-      reads.emplace_back(e.server, std::move(r));
-      read_meta.emplace_back(i, e);
-    }
-  }
-  struct OldReadShared {
-    CsarFs* self;
-    const std::vector<std::pair<std::size_t, StripeLayout::Extent>>* meta;
-    const Buffer* data;
-    std::uint64_t off;
-    bool materialized;
-    Scheme sch;
-    std::vector<Buffer> deltas;
-    bool failed = false;
-    Errc errc = Errc::ok;
-    int err_server = -1;
-  };
-  OldReadShared shared{this,          &read_meta, &data, off,
-                       data.materialized(), sch,   {},    false, Errc::ok,
-                       -1};
-  shared.deltas.resize(read_meta.size());
   auto read_one = [](OldReadShared* sh, std::uint32_t srv, Request req,
                      std::size_t x) -> sim::Task<void> {
     auto resp = co_await sh->self->client_->rpc(srv, std::move(req));
@@ -718,7 +457,7 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
         match_materialization(std::move(resp.data), sh->materialized);
     delta.xor_with(sh->data->slice(e.global_off - sh->off, e.len));
     sh->deltas[x] = std::move(delta);
-    co_await sh->self->charge_xor(sh->sch, e.len);
+    co_await sh->self->charge_xor(sh->charge, e.len);
   };
   std::vector<sim::ProcessHandle> readers;
   readers.reserve(reads.size());
@@ -727,55 +466,68 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
         read_one(&shared, reads[x].first, std::move(reads[x].second), x)));
   }
 
-  // Coding-lock phase: one batched lock+read RPC per coding server, servers
-  // visited sequentially in first-seen (ascending group, ascending fragment)
-  // order — the deadlock-avoidance rule across writers.
+  // 2. Coding-lock phase: one batched lock+read RPC per coding server. The
+  //    server acquires every lock of the batch atomically (ascending key
+  //    order) before answering; servers are visited sequentially in
+  //    first-seen (ascending group, then fragment) order, which preserves
+  //    the paper's ordered-acquisition rule across writers (§5.1).
   struct LockBucket {
     std::uint32_t server;
-    std::vector<std::pair<std::size_t, std::uint32_t>> cs;  // (ctx, j)
+    std::vector<std::size_t> cs;  // coding indexes i*m + j
   };
+  // One token identifies this whole RMW to the lock protocol: a retried
+  // lock read re-enters its own grant, and the paired (or abandon-time)
+  // release cannot be confused with a later RMW's lock.
   const std::uint64_t rmw_token =
-      ctx.empty() ? 0 : client_->next_rmw_token();
+      gc.lock && !ctx.empty() ? client_->next_rmw_token() : 0;
+  // Server and redundancy-file offset of coding index c = i*m + j.
+  auto coding_srv = [&](std::size_t c) {
+    return gc.coding_server(ctx[c / m].seg.group,
+                            static_cast<std::uint32_t>(c % m));
+  };
+  auto coding_off = [&](std::size_t c) {
+    return gc.coding_off(ctx[c / m].seg.group) + ctx[c / m].cols.lo;
+  };
   std::vector<LockBucket> lbuckets;
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const std::uint32_t srv =
-          layout.rs_coding_server(ctx[i].seg.group, k, j);
-      LockBucket* b = nullptr;
-      for (auto& cand : lbuckets) {
-        if (cand.server == srv) {
-          b = &cand;
-          break;
-        }
+  for (std::size_t c = 0; c < coding.size(); ++c) {
+    const std::uint32_t srv = coding_srv(c);
+    LockBucket* b = nullptr;
+    for (auto& cand : lbuckets) {
+      if (cand.server == srv) {
+        b = &cand;
+        break;
       }
-      if (b == nullptr) {
-        lbuckets.push_back({srv, {}});
-        b = &lbuckets.back();
-      }
-      b->cs.emplace_back(i, j);
     }
+    if (b == nullptr) {
+      lbuckets.push_back({srv, {}});
+      b = &lbuckets.back();
+    }
+    b->cs.push_back(c);
   }
 
   bool coding_error = false;
   Errc coding_errc = Errc::ok;
   int coding_err_server = -1;
-  std::vector<char> lock_sent(ctx.size() * m, 0);
+  // Locks whose acquisition request went out; on abort each gets an
+  // explicit owner-checked release (safe even when the grant is unknown —
+  // a timed-out envelope may or may not have taken them server-side).
+  std::vector<char> lock_sent(coding.size(), 0);
   for (auto& b : lbuckets) {
     std::vector<Request> subs;
     subs.reserve(b.cs.size());
-    for (const auto& [i, j] : b.cs) {
-      const ColRange cr = ctx[i].cols;
+    for (const std::size_t c : b.cs) {
+      const ColRange cr = ctx[c / m].cols;
       Request r;
       r.op = Op::read_red;
       r.handle = f.handle;
-      r.off = layout.rs_coding_local_off(ctx[i].seg.group) + cr.lo;
+      r.off = coding_off(c);
       r.len = cr.hi - cr.lo;
-      r.lock = true;
+      r.lock = gc.lock;
       r.rmw_token = rmw_token;
       r.su = layout.stripe_unit;
       r.red_gen = gen;
       subs.push_back(std::move(r));
-      lock_sent[i * m + j] = 1;
+      lock_sent[c] = gc.lock ? 1 : 0;
     }
     auto resps = co_await client_->rpc_batch(b.server, std::move(subs));
     for (std::size_t x = 0; x < resps.size(); ++x) {
@@ -787,74 +539,76 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
         }
         continue;
       }
-      ctx[b.cs[x].first].coding[b.cs[x].second] = match_materialization(
-          std::move(resps[x].data), data.materialized());
+      coding[b.cs[x]] =
+          match_materialization(std::move(resps[x].data), data.materialized());
     }
     if (coding_error) break;
   }
   for (auto& h : readers) co_await h.join();
 
   if (coding_error || shared.failed) {
-    std::vector<std::pair<std::uint32_t, Request>> rel;
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        if (lock_sent[i * m + j] == 0) continue;
+    // Abandoning the RMW with lock requests in flight: explicitly release
+    // every lock we may hold so the stripe is not wedged until the lease
+    // reaper fires. unlock_red is owner-checked and writes nothing, so it
+    // is safe to send for locks that failed their read (media error — the
+    // lock was still taken) and for grants lost to a timeout alike.
+    if (gc.lock) {
+      std::vector<std::pair<std::uint32_t, Request>> rel;
+      for (std::size_t c = 0; c < coding.size(); ++c) {
+        if (lock_sent[c] == 0) continue;
         Request u;
         u.op = Op::unlock_red;
         u.handle = f.handle;
-        u.off = layout.rs_coding_local_off(ctx[i].seg.group) + ctx[i].cols.lo;
+        u.off = coding_off(c);
         u.rmw_token = rmw_token;
         u.su = layout.stripe_unit;
         u.red_gen = gen;
-        rel.emplace_back(layout.rs_coding_server(ctx[i].seg.group, k, j),
-                         std::move(u));
+        rel.emplace_back(coding_srv(c), std::move(u));
       }
+      (void)co_await client_->rpc_all(std::move(rel));
     }
-    (void)co_await client_->rpc_all(std::move(rel));
     if (coding_error) {
-      co_return Error{coding_errc, "rs coding read", coding_err_server};
+      co_return Error{coding_errc, "coding read", coding_err_server};
     }
-    co_return Error{shared.errc, "rs old data", shared.err_server};
+    co_return Error{shared.errc, "old data read", shared.err_server};
   }
 
-  // Fold the streamed deltas: coding_j ^= coeff(j, i) * delta, at the
-  // extent's column offset.
+  // 3. Fold the streamed deltas into the old coding: coding_j ^= coeff(j,
+  //    i) * delta at the extent's column offset. The old ^ new half was
+  //    computed (and its XOR charged) per response as it arrived.
   for (std::size_t x = 0; x < read_meta.size(); ++x) {
     const std::size_t i = read_meta[x].first;
     const auto& e = read_meta[x].second;
-    const std::uint32_t frag =
+    const auto frag =
         static_cast<std::uint32_t>(layout.unit_of(e.global_off) % k);
     const std::uint64_t colofs = e.global_off % su - ctx[i].cols.lo;
     for (std::uint32_t j = 0; j < m; ++j) {
-      if (ctx[i].coding[j].materialized() && shared.deltas[x].materialized()) {
-        gf_muladd_region(
-            ctx[i].coding[j].mutable_bytes().subspan(colofs, e.len),
-            shared.deltas[x].bytes(), rs_coeff(spec, j, frag));
+      Buffer& cj = coding[i * m + j];
+      if (cj.materialized() && shared.deltas[x].materialized()) {
+        gf_muladd_region(cj.mutable_bytes().subspan(colofs, e.len),
+                         shared.deltas[x].bytes(), rs_coeff(gc.spec, j, frag));
       }
       xor_bytes += e.len;
     }
   }
 
-  // Writes: updated coding fragments first (their transfer releases the
-  // locks), then the data range in place, then fresh coding for fully
-  // covered groups. rs coding slots are one unit per (server, group) and
-  // consecutive groups rotate servers, so full-group coding writes go out
-  // per group rather than merged per server.
+  // 4. Issue every write in parallel: the updated coding for partial groups
+  //    *first* (their transfer releases the coding-block locks — sending
+  //    them ahead of the bulk data keeps the critical section short), then
+  //    the full data range (in place), then fresh coding for fully covered
+  //    groups.
   std::vector<std::pair<std::uint32_t, Request>> writes;
-  for (auto& c : ctx) {
-    for (std::uint32_t j = 0; j < m; ++j) {
-      Request w;
-      w.op = Op::write_red;
-      w.handle = f.handle;
-      w.off = layout.rs_coding_local_off(c.seg.group) + c.cols.lo;
-      w.payload = std::move(c.coding[j]);
-      w.unlock = true;
-      w.rmw_token = rmw_token;
-      w.su = layout.stripe_unit;
-      w.red_gen = gen;
-      writes.emplace_back(layout.rs_coding_server(c.seg.group, k, j),
-                          std::move(w));
-    }
+  for (std::size_t c = 0; c < coding.size(); ++c) {
+    Request w;
+    w.op = Op::write_red;
+    w.handle = f.handle;
+    w.off = coding_off(c);
+    w.payload = std::move(coding[c]);
+    w.unlock = gc.lock;
+    w.rmw_token = rmw_token;
+    w.su = layout.stripe_unit;
+    w.red_gen = gen;
+    writes.emplace_back(coding_srv(c), std::move(w));
   }
   const bool inval = p_.policy->overflow_possible(f);
   for (const auto& e : layout.decompose_merged(off, len)) {
@@ -865,6 +619,13 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
     w.payload = pvfs::Client::gather_for_server(layout, off, data, e.server);
     w.su = layout.stripe_unit;
     if (inval) {
+      // An ex-Hybrid file migrated to an in-place scheme keeps its overflow
+      // overlay live; in-place writes must kill overlapping entries or reads
+      // would keep returning the superseded overflow bytes. The owner entry
+      // dies on the data write itself; the mirror entry lives on the
+      // successor, which gets a zero-payload invalidation-only write below.
+      // Files that were never Hybrid skip all of this and keep their exact
+      // pre-policy message traffic.
       w.inval_own = Interval{e.local_off, e.local_off + e.len};
       Request inv;
       inv.op = Op::write_data;
@@ -877,37 +638,16 @@ sim::Task<Result<void>> CsarFs::write_rs(const pvfs::OpenFile& f,
     writes.emplace_back(e.server, std::move(w));
   }
   if (ws.full_end > ws.full_start) {
-    for (std::uint64_t g = ws.full_start / W; g < ws.full_end / W; ++g) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        Buffer coding = data.materialized() ? Buffer::real(su)
-                                            : Buffer::phantom(su);
-        if (data.materialized()) {
-          auto dst = coding.mutable_bytes();
-          for (std::uint32_t i = 0; i < k; ++i) {
-            const std::uint64_t pos =
-                layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            gf_muladd_region(dst, data.slice(pos - off, su).bytes(),
-                             rs_coeff(spec, j, i));
-          }
-        }
-        xor_bytes += W;
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.rs_coding_local_off(g);
-        w.payload = std::move(coding);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        writes.emplace_back(layout.rs_coding_server(g, k, j), std::move(w));
-      }
-    }
+    full_coding_writes(f, gc, off, data, ws.full_start / gc.width(),
+                       ws.full_end / gc.width(), gen, writes, xor_bytes);
   }
   if (!ctx.empty()) p_.policy->note_rmw(sch, ctx.size());
-  p_.policy->note_ec_encode(xor_bytes);
-  co_await charge_xor(sch, xor_bytes);
+  // (e) Only rs feeds the erasure-coding statistics.
+  if (gc.rs) p_.policy->note_ec_encode(xor_bytes);
+  co_await charge_xor(gc.charge, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "rs write", resp.server};
+    if (!resp.ok) co_return Error{resp.err, "coded write", resp.server};
   }
   co_return Result<void>::success();
 }
@@ -918,8 +658,9 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
   const std::uint64_t len = data.size();
+  const GroupCode gc = *group_code(Scheme::hybrid, layout);
   const auto ws = layout.split_write(off, len);
-  const auto segs = partial_segments(layout, ws);
+  const auto segs = partial_segments(gc, ws);
   const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::uint64_t xor_bytes = 0;
 
@@ -952,11 +693,8 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
       writes.emplace_back(e.server, std::move(w));
     }
     const std::size_t parity_first = writes.size();
-    build_full_parity_writes(f, off, data,
-                             ws.full_start / layout.stripe_width(),
-                             ws.full_end / layout.stripe_width(),
-                             /*hybrid_invalidate=*/true, gen, writes,
-                             xor_bytes);
+    full_coding_writes(f, gc, off, data, ws.full_start / gc.width(),
+                       ws.full_end / gc.width(), gen, writes, xor_bytes);
     // A server that holds no data unit in the span (possible when the span
     // is shorter than N groups) still receives its parity write; attach the
     // invalidations there so its stale mirror entries die too.
@@ -1001,7 +739,7 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   if (overflow_bytes > 0) {
     p_.policy->note_overflow_bytes(Scheme::hybrid, overflow_bytes);
   }
-  co_await charge_xor(Scheme::hybrid, xor_bytes);
+  co_await charge_xor(gc.charge, xor_bytes);
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
     if (!resp.ok) co_return Error{resp.err, "hybrid write", resp.server};

@@ -7,16 +7,19 @@
 //
 //  RAID0   data only (plain PVFS).
 //  RAID1   data + block mirror on the next server's redundancy file.
-//  RAID5   data in place; for each touched parity group the client reads
-//          old data + old parity (taking the parity-block lock, §5.1),
-//          XORs the delta, and writes data + new parity (releasing the
-//          lock). Full groups skip the reads — parity is computed fresh.
+//  RAID4/5, rs(k,m)
+//          one group-code engine (write_coded, driven by GroupCode): data
+//          in place; for each touched group the client reads old data + the
+//          old coding columns (taking the coding-block locks, §5.1), folds
+//          the delta, and writes data + new coding (releasing the locks).
+//          Full groups skip the reads — coding is computed fresh.
 //  Hybrid  the write is split (§4) into [partial | full stripes | partial]:
-//          the full-stripe run takes the RAID5 fast path (and invalidates
-//          overlapping overflow entries); the partial edges are written
-//          twice into overflow regions (owner server + its successor),
-//          never updating the data file in place, so the stale parity still
-//          reconstructs the old stripe content.
+//          the full-stripe run takes the RAID5 fast path (the same
+//          full-group coding emitter, plus invalidation of overlapping
+//          overflow entries); the partial edges are written twice into
+//          overflow regions (owner server + its successor), never updating
+//          the data file in place, so the stale parity still reconstructs
+//          the old stripe content.
 #pragma once
 
 #include <cstdint>
@@ -168,11 +171,11 @@ class CsarFs {
   sim::Task<Result<void>> compact(const pvfs::OpenFile& f,
                                   std::uint64_t file_size);
 
-  /// Parity unit of group `g`, which `data` (placed at file offset `off`)
-  /// covers in full: the XOR of the group's data units. Phantom data gives
-  /// a phantom unit.
-  static Buffer full_group_parity(const pvfs::StripeLayout& layout,
-                                  std::uint64_t g, std::uint64_t off,
+  /// Coding fragment j of group `g`, which `data` (placed at file offset
+  /// `off`) covers in full (see GroupCode::encode). Phantom data gives a
+  /// phantom unit.
+  static Buffer full_group_coding(const GroupCode& gc, std::uint64_t g,
+                                  std::uint32_t j, std::uint64_t off,
                                   const Buffer& data);
 
  private:
@@ -201,28 +204,25 @@ class CsarFs {
 
   sim::Task<Result<void>> write_raid1(const pvfs::OpenFile& f,
                                       std::uint64_t off, const Buffer& data);
-  /// `sch` distinguishes the RAID5 variants (locking, parity-cost charging)
-  /// and doubles as the in-place parity path for RAID4 and Hybrid full runs.
-  sim::Task<Result<void>> write_raid5(const pvfs::OpenFile& f,
+  /// The group-code write path for RAID4, the RAID5 variants and rs(k,m):
+  /// full groups compute their coding fresh; partial groups run the batched
+  /// RMW protocol (one locked read+update per touched coding server,
+  /// ascending order) folding per-fragment deltas.
+  sim::Task<Result<void>> write_coded(const pvfs::OpenFile& f,
                                       std::uint64_t off, const Buffer& data,
                                       Scheme sch);
   sim::Task<Result<void>> write_hybrid(const pvfs::OpenFile& f,
                                        std::uint64_t off, const Buffer& data);
-  /// rs(k,m) write path: full groups compute all m coding fragments fresh;
-  /// partial groups run the batched RMW protocol (one locked read+update per
-  /// touched coding server, ascending order) folding per-fragment GF deltas.
-  sim::Task<Result<void>> write_rs(const pvfs::OpenFile& f, std::uint64_t off,
-                                   const Buffer& data, Scheme sch);
 
-  /// Charge the client CPU for XOR-ing `bytes` (skipped for RAID5-npc).
-  sim::Task<void> charge_xor(Scheme sch, std::uint64_t bytes);
+  /// Charge the client CPU for coding `bytes` (skipped when !charge, i.e.
+  /// RAID5-npc).
+  sim::Task<void> charge_xor(bool charge, std::uint64_t bytes);
 
-  /// Append per-server merged parity writes for the fully covered groups
-  /// [g0, g1) to `reqs`, targeting redundancy generation `red_gen`.
-  /// `hybrid_invalidate` attaches overflow invalidations.
-  void build_full_parity_writes(
-      const pvfs::OpenFile& f, std::uint64_t off, const Buffer& data,
-      std::uint64_t g0, std::uint64_t g1, bool hybrid_invalidate,
+  /// Append the coding writes for the fully covered groups [g0, g1) to
+  /// `reqs`, targeting redundancy generation `red_gen`.
+  void full_coding_writes(
+      const pvfs::OpenFile& f, const GroupCode& gc, std::uint64_t off,
+      const Buffer& data, std::uint64_t g0, std::uint64_t g1,
       std::uint32_t red_gen,
       std::vector<std::pair<std::uint32_t, pvfs::Request>>& reqs,
       std::uint64_t& xor_bytes);

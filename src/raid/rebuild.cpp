@@ -314,7 +314,7 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
     }
 
     // Redundancy file: mirror rows map through the predecessor (RAID1);
-    // parity rows dirty their whole group (parity schemes). Only the file's
+    // coding rows dirty their whole group (group codes). Only the file's
     // *current* generation matters — losses in a superseded generation are
     // garbage awaiting drop_red, never read again.
     if (auto it = losses.find(pvfs::IoServer::red_name(t.f.handle, gen));
@@ -330,42 +330,20 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
             o.stale[t.f.handle].insert(g0, g0 + (row_end - lo));
             lo = row_end;
           }
-        } else if (uses_parity(sch)) {
-          for (std::uint64_t k = iv.start / su; k * su < iv.end; ++k) {
-            // Groups whose parity lands in local unit k of this server:
-            // g == k under fixed placement, one of [k*n, (k+1)*n) rotating.
-            const std::uint64_t g_lo =
-                lay.placement == pvfs::ParityPlacement::fixed ? k
-                                                              : k * lay.n();
-            const std::uint64_t g_hi =
-                lay.placement == pvfs::ParityPlacement::fixed
-                    ? k + 1
-                    : (k + 1) * lay.n();
+        } else if (const auto gc = group_code(sch, lay)) {
+          // Coding rows: every group whose coding slot on this server is a
+          // lost local unit q has stale coding — taint its whole span.
+          for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
+            const auto [g_lo, g_hi] = gc->slot_groups(q);
             for (std::uint64_t g = g_lo; g < g_hi; ++g) {
-              if (lay.parity_server(g) != s) continue;
-              if (lay.parity_local_unit(g) != k) continue;
-              const std::uint64_t gs = lay.group_start(g);
+              if (gc->coding_off(g) != q * su || !gc->holds_coding(g, s)) {
+                continue;
+              }
+              const std::uint64_t gs = gc->group_start(g);
               if (gs >= t.size) continue;
               o.stale[t.f.handle].insert(gs,
-                                         std::min(lay.group_end(g), t.size));
+                                         std::min(gc->group_end(g), t.size));
             }
-          }
-        } else if (sch.kind == SchemeKind::rs) {
-          // rs coding slots: group g's fragments live at local offset g*su
-          // (rs_coding_local_off), so local unit q ↔ group q. The server
-          // may hold several of group q's m fragments only when fragments
-          // wrap, which rs placement forbids (k+m <= N), so one hit per j
-          // suffices: taint the whole group span.
-          for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
-            bool holds = false;
-            for (std::uint32_t j = 0; j < sch.m && !holds; ++j) {
-              holds = lay.rs_coding_server(q, sch.k, j) == s;
-            }
-            if (!holds) continue;
-            const std::uint64_t gs = lay.rs_group_start(q, sch.k);
-            if (gs >= t.size) continue;
-            o.stale[t.f.handle].insert(
-                gs, std::min(lay.rs_group_end(q, sch.k), t.size));
           }
         }
       }

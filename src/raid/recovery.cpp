@@ -21,108 +21,139 @@ bool contains(const std::vector<std::uint32_t>& v, std::uint32_t s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-/// Server holding fragment `frag` of rs group g (data fragments [0,k),
-/// coding fragments [k, k+m)).
-std::uint32_t rs_fragment_server(const StripeLayout& lay, std::uint32_t k,
-                                 std::uint64_t g, std::uint32_t frag) {
-  return frag < k ? lay.rs_data_server(g, k, frag)
-                  : lay.rs_coding_server(g, k, frag - k);
-}
-
-/// Read request for columns [c0, c0+len) of fragment `frag` of rs group g:
+/// Read request for columns [c0, c0+len) of fragment `frag` of group g:
 /// raw data-file read for data fragments, redundancy-file read at the
-/// group's slot for coding fragments.
-Request rs_fragment_read(const pvfs::OpenFile& f, const StripeLayout& lay,
-                         std::uint32_t k, std::uint32_t gen, std::uint64_t g,
-                         std::uint32_t frag, std::uint64_t c0,
-                         std::uint64_t len) {
+/// group's coding slot for coding fragments.
+Request fragment_read(const pvfs::OpenFile& f, const GroupCode& gc,
+                      std::uint32_t gen, std::uint64_t g, std::uint32_t frag,
+                      std::uint64_t c0, std::uint64_t len) {
+  const StripeLayout& lay = gc.layout;
   Request r;
   r.handle = f.handle;
   r.len = len;
   r.su = lay.stripe_unit;
-  if (frag < k) {
+  if (frag < gc.k()) {
     r.op = Op::read_data_raw;
-    r.off = lay.local_unit(g * k + frag) * lay.su() + c0;
+    r.off = lay.local_unit(g * gc.k() + frag) * lay.su() + c0;
   } else {
     r.op = Op::read_red;
-    r.off = lay.rs_coding_local_off(g) + c0;
+    r.off = gc.coding_off(g) + c0;
     r.red_gen = gen;
   }
   return r;
 }
 }  // namespace
 
-sim::Task<Result<Buffer>> Recovery::reconstruct_base(const pvfs::OpenFile& f,
-                                                     std::uint32_t failed,
-                                                     std::uint64_t global_off,
-                                                     std::uint64_t len) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint64_t u_failed = layout.unit_of(global_off);
-  assert(layout.server_of_unit(u_failed) == failed);
-  assert(layout.unit_of(global_off + len - 1) == u_failed &&
-         "piece must lie within one stripe unit");
-  const std::uint64_t g = layout.group_of_unit(u_failed);
-  const std::uint64_t c0 = global_off % su;
-
-  std::vector<std::pair<std::uint32_t, Request>> reads;
-  {
-    Request r;
-    r.op = Op::read_red;
-    r.handle = f.handle;
-    r.off = layout.parity_local_off(g) + c0;
-    r.len = len;
-    r.lock = false;
-    r.su = layout.stripe_unit;
-    r.red_gen = red_gen_of(f);
-    reads.emplace_back(layout.parity_server(g), std::move(r));
+sim::Task<std::vector<pvfs::Response>> Recovery::coding_rpcs(
+    const GroupCode& gc, std::vector<std::pair<std::uint32_t, Request>> reqs) {
+  if (gc.m() == 1 && reqs.size() == 1) {
+    std::vector<pvfs::Response> out;
+    out.push_back(
+        co_await client_->rpc(reqs[0].first, std::move(reqs[0].second)));
+    co_return out;
   }
-  for (std::uint64_t u = g * (layout.n() - 1); u < (g + 1) * (layout.n() - 1);
-       ++u) {
-    if (u == u_failed) continue;
-    Request r;
-    r.op = Op::read_data_raw;
-    r.handle = f.handle;
-    r.off = layout.local_unit(u) * su + c0;
-    r.len = len;
-    reads.emplace_back(layout.server_of_unit(u), std::move(r));
+  co_return co_await client_->rpc_all(std::move(reqs));
+}
+
+sim::Task<Result<Buffer>> Recovery::reconstruct(
+    const pvfs::OpenFile& f, const GroupCode& gc, std::uint64_t g,
+    std::uint32_t target, std::uint64_t c0, std::uint64_t len,
+    const std::vector<std::uint32_t>& down, bool for_rebuild) {
+  const std::uint32_t k = gc.k();
+  const std::uint32_t gen = red_gen_of(f);
+  // The minimal k-subset, deterministically, each kind ascending. Exactly k
+  // fragments are fetched — never more — which is the degraded-read cost
+  // the A14 ablation measures.
+  std::vector<std::uint32_t> present;
+  auto take = [&](std::uint32_t lo, std::uint32_t hi) {
+    for (std::uint32_t frag = lo; frag < hi && present.size() < k; ++frag) {
+      if (frag == target) continue;  // the fragment being (re)built
+      if (contains(down, gc.fragment_server(g, frag))) continue;
+      present.push_back(frag);
+    }
+  };
+  if (gc.rs) {
+    // (c) rs reads data fragments first (their reads spread over the
+    // group's own servers and most coefficients are cheap), then coding.
+    take(0, gc.spec.fragments());
+  } else {
+    // (c) Classic parity reads the parity unit first, then the data.
+    take(k, gc.spec.fragments());
+    take(0, k);
+  }
+  if (present.size() < k) {
+    co_return Error{Errc::server_failed, "fewer than k live fragments"};
+  }
+  const auto coeffs = rs_reconstruct_coeffs(gc.spec, present, target);
+  std::vector<std::pair<std::uint32_t, Request>> reads;
+  reads.reserve(k);
+  for (const std::uint32_t frag : present) {
+    reads.emplace_back(gc.fragment_server(g, frag),
+                       fragment_read(f, gc, gen, g, frag, c0, len));
   }
   auto resps = co_await client_->rpc_all(std::move(reads));
-  Buffer out;
-  bool first = true;
-  for (auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "reconstruct_base"};
-    if (first) {
-      out = std::move(resp.data);
-      first = false;
-    } else if (out.materialized() == resp.data.materialized()) {
-      out.xor_with(resp.data);
+  bool phantom = false;
+  for (const auto& resp : resps) {
+    if (!resp.ok) co_return Error{resp.err, "fragment read", resp.server};
+    if (!resp.data.materialized()) phantom = true;
+  }
+  Buffer out = Buffer::phantom(len);
+  if (!phantom) {
+    // A unit coefficient (every one for m = 1) lets the first fragment be
+    // the accumulator itself instead of a zero-filled buffer.
+    std::size_t r = 0;
+    if (coeffs[0] == 1) {
+      out = std::move(resps[0].data);
+      r = 1;
     } else {
-      out = Buffer::phantom(len);
+      out = Buffer::real(len);
+    }
+    for (; r < resps.size(); ++r) {
+      gf_muladd_region(out.mutable_bytes(), resps[r].data.bytes(), coeffs[r]);
     }
   }
-  // Charge the client for the reconstruction XOR.
-  auto& node = client_->cluster().node(client_->node_id());
-  co_await node.mem().occupy(sim::transfer_time(
-      len * resps.size(), node.params().xor_bytes_per_sec));
+  // (d) Decode cost: k fragment-sized inputs through the kernel on the
+  // recovering client. A classic parity recompute is not charged.
+  if (gc.rs || target < k) {
+    auto& node = client_->cluster().node(client_->node_id());
+    co_await node.mem().occupy(
+        sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
+  }
+  // (e) Only rs feeds the erasure-coding statistics.
+  if (gc.rs && policy_ != nullptr) {
+    if (for_rebuild) {
+      policy_->note_ec_rebuild_decode(k, len * k);
+    } else {
+      policy_->note_ec_degraded_read(k, len * k);
+    }
+  }
   co_return out;
 }
 
-sim::Task<Result<Buffer>> Recovery::reconstruct_piece(const pvfs::OpenFile& f,
-                                                      std::uint32_t failed,
-                                                      std::uint64_t global_off,
-                                                      std::uint64_t len) {
+sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
+    const pvfs::OpenFile& f, const std::vector<std::uint32_t>& down,
+    std::uint64_t global_off, std::uint64_t len) {
   const StripeLayout& layout = f.layout;
-  const std::uint32_t successor = (failed + 1) % layout.n();
+  const std::uint64_t u = layout.unit_of(global_off);
+  assert(layout.unit_of(global_off + len - 1) == u &&
+         "piece must lie within one stripe unit");
+  const std::uint32_t owner = layout.server_of_unit(u);
+  const std::uint32_t successor = (owner + 1) % layout.n();
   const std::uint64_t local = layout.local_off(global_off);
   const Scheme sch = scheme_of(f);
   if (sch == Scheme::raid0) {
     co_return Error{Errc::server_failed, "RAID0 cannot reconstruct"};
   }
   Buffer out;
-  if (sch == Scheme::raid1) {
-    // The mirror of the failed server's blocks lives at the same local
-    // offsets in the successor's redundancy file.
+  if (const auto gc = group_code(sch, layout)) {
+    auto base = co_await reconstruct(
+        f, *gc, gc->group_of_unit(u), static_cast<std::uint32_t>(u % gc->k()),
+        global_off % layout.su(), len, down, /*for_rebuild=*/false);
+    if (!base.ok()) co_return base;
+    out = std::move(base.value());
+  } else {
+    // RAID1: the mirror of the failed server's blocks lives at the same
+    // local offsets in the successor's redundancy file.
     Request r;
     r.op = Op::read_red;
     r.handle = f.handle;
@@ -133,10 +164,6 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(const pvfs::OpenFile& f,
     auto resp = co_await client_->rpc(successor, std::move(r));
     if (!resp.ok) co_return Error{resp.err, "raid1 mirror read"};
     out = std::move(resp.data);
-  } else {
-    auto base = co_await reconstruct_base(f, failed, global_off, len);
-    if (!base.ok()) co_return base;
-    out = std::move(base.value());
   }
   // Overlay the newest partial-stripe data from the mirrored overflow
   // copies on the successor. This applies beyond Scheme::hybrid: a file
@@ -144,110 +171,10 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(const pvfs::OpenFile& f,
   // base redundancy covers the raw data files only), so its reconstruction
   // needs the same overlay. Never-Hybrid files skip the extra read.
   if (overlay_overflow(f)) {
-    Request r;
-    r.op = Op::read_mirror;
-    r.handle = f.handle;
-    r.off = local;
-    r.len = len;
-    r.owner = failed;
-    auto resp = co_await client_->rpc(successor, std::move(r));
-    if (!resp.ok) co_return Error{resp.err, "mirror overflow read"};
-    for (const auto& piece : resp.pieces) {
-      if (out.materialized() && piece.data.materialized()) {
-        out.write_at(piece.local_off - local, piece.data);
-      } else {
-        out = Buffer::phantom(len);
-      }
-    }
-  }
-  co_return out;
-}
-
-sim::Task<Result<Buffer>> Recovery::reconstruct_rs(
-    const pvfs::OpenFile& f, Scheme sch, std::uint64_t g, std::uint32_t target,
-    std::uint64_t c0, std::uint64_t len, const std::vector<std::uint32_t>& down,
-    bool for_rebuild) {
-  const StripeLayout& layout = f.layout;
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t gen = red_gen_of(f);
-  // The minimal k-subset, deterministically: data fragments first (their
-  // reads spread over the group's own servers and most coefficients are
-  // cheap), then coding fragments, both ascending. Exactly k fragments are
-  // fetched — never more — which is the degraded-read cost the A14 ablation
-  // measures.
-  std::vector<std::uint32_t> present;
-  for (std::uint32_t frag = 0;
-       frag < spec.fragments() && present.size() < k; ++frag) {
-    if (frag == target) continue;  // the fragment being (re)built
-    if (contains(down, rs_fragment_server(layout, k, g, frag))) continue;
-    present.push_back(frag);
-  }
-  if (present.size() < k) {
-    co_return Error{Errc::server_failed, "rs: fewer than k live fragments"};
-  }
-  const auto coeffs = rs_reconstruct_coeffs(spec, present, target);
-  std::vector<std::pair<std::uint32_t, Request>> reads;
-  reads.reserve(k);
-  for (const std::uint32_t frag : present) {
-    reads.emplace_back(rs_fragment_server(layout, k, g, frag),
-                       rs_fragment_read(f, layout, k, gen, g, frag, c0, len));
-  }
-  auto resps = co_await client_->rpc_all(std::move(reads));
-  bool phantom = false;
-  for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "rs fragment read", resp.server};
-    if (!resp.data.materialized()) phantom = true;
-  }
-  Buffer out = phantom ? Buffer::phantom(len) : Buffer::real(len);
-  if (!phantom) {
-    auto dst = out.mutable_bytes();
-    for (std::size_t r = 0; r < resps.size(); ++r) {
-      gf_muladd_region(dst, resps[r].data.bytes(), coeffs[r]);
-    }
-  }
-  // Decode cost: k fragment-sized inputs through the GF kernel on the
-  // recovering client (same memory-pipeline charge as reconstruct_base).
-  auto& node = client_->cluster().node(client_->node_id());
-  co_await node.mem().occupy(
-      sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
-  if (policy_ != nullptr) {
-    if (for_rebuild) {
-      policy_->note_ec_rebuild_decode(k, len * k);
-    } else {
-      policy_->note_ec_degraded_read(k, len * k);
-    }
-  }
-  co_return out;
-}
-
-sim::Task<Result<Buffer>> Recovery::reconstruct_rs_piece(
-    const pvfs::OpenFile& f, Scheme sch, const std::vector<std::uint32_t>& down,
-    std::uint64_t global_off, std::uint64_t len) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint64_t u = layout.unit_of(global_off);
-  assert(layout.unit_of(global_off + len - 1) == u &&
-         "piece must lie within one stripe unit");
-  const std::uint32_t k = sch.k;
-  const std::uint64_t g = layout.rs_group_of_unit(u, k);
-  auto base = co_await reconstruct_rs(f, sch, g,
-                                      static_cast<std::uint32_t>(u % k),
-                                      global_off % su, len, down,
-                                      /*for_rebuild=*/false);
-  if (!base.ok()) co_return base;
-  Buffer out = std::move(base.value());
-  if (overlay_overflow(f)) {
-    // A file migrated onto rs from Hybrid keeps its overflow overlay live;
-    // the mirror copies on the owner's successor are the only ones left
-    // while the owner is down.
-    const std::uint32_t owner = layout.server_of_unit(u);
-    const std::uint32_t successor = (owner + 1) % layout.n();
     if (contains(down, successor)) {
       co_return Error{Errc::server_failed,
-                      "rs overlay: owner and successor both down"};
+                      "overlay: owner and successor both down"};
     }
-    const std::uint64_t local = layout.local_off(global_off);
     Request r;
     r.op = Op::read_mirror;
     r.handle = f.handle;
@@ -271,12 +198,23 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
                                                   std::uint64_t off,
                                                   std::uint64_t len,
                                                   std::uint32_t failed) {
-  if (const Scheme sch = scheme_of(f); sch.kind == SchemeKind::rs) {
-    std::vector<std::uint32_t> down;
-    down.push_back(failed);
-    co_return co_await degraded_read_rs(f, sch, off, len, std::move(down));
-  }
+  return degraded_read(f, off, len, std::vector<std::uint32_t>{failed});
+}
+
+std::uint32_t Recovery::failure_budget(const pvfs::OpenFile& f) const {
+  const auto gc = group_code(scheme_of(f), f.layout);
+  return gc ? gc->m() : 1;
+}
+
+sim::Task<Result<Buffer>> Recovery::degraded_read(
+    const pvfs::OpenFile& f, std::uint64_t off, std::uint64_t len,
+    std::vector<std::uint32_t> failed) {
+  if (failed.empty()) co_return co_await client_->read(f, off, len);
   if (len == 0) co_return Buffer::real(0);
+  if (failed.size() > failure_budget(f)) {
+    co_return Error{Errc::server_failed,
+                    "more concurrent failures than the scheme's redundancy"};
+  }
   // One part per unit piece, in file order; each task fills its own.
   const auto pieces = f.layout.decompose(off, len);
   std::vector<Buffer> parts(pieces.size());
@@ -287,11 +225,12 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     tasks.push_back(
         [](Recovery* self, const pvfs::OpenFile* file,
-           StripeLayout::Extent ext, std::uint32_t fsrv, Buffer* sink,
-           bool* phant, bool* err, Error* ferr) -> sim::Task<void> {
+           StripeLayout::Extent ext, const std::vector<std::uint32_t>* down,
+           Buffer* sink, bool* phant, bool* err,
+           Error* ferr) -> sim::Task<void> {
           Result<Buffer> piece = Buffer::real(0);
-          if (ext.server == fsrv) {
-            piece = co_await self->reconstruct_piece(*file, fsrv,
+          if (contains(*down, ext.server)) {
+            piece = co_await self->reconstruct_piece(*file, *down,
                                                      ext.global_off, ext.len);
           } else {
             Request r;
@@ -312,76 +251,7 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
           assert(piece.value().size() == ext.len);
           if (!piece.value().materialized()) *phant = true;
           *sink = std::move(piece.value());
-        }(this, &f, pieces[i], failed, &parts[i], &phantom, &error,
-          &first_error));
-  }
-  co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
-  if (error) co_return first_error;
-  if (phantom) co_return Buffer::phantom(len);
-  co_return Buffer::concat(parts);
-}
-
-sim::Task<Result<Buffer>> Recovery::degraded_read(
-    const pvfs::OpenFile& f, std::uint64_t off, std::uint64_t len,
-    std::vector<std::uint32_t> failed) {
-  if (failed.empty()) co_return co_await client_->read(f, off, len);
-  const Scheme sch = scheme_of(f);
-  if (sch.kind == SchemeKind::rs) {
-    co_return co_await degraded_read_rs(f, sch, off, len, std::move(failed));
-  }
-  if (failed.size() == 1) {
-    co_return co_await degraded_read(f, off, len, failed.front());
-  }
-  co_return Error{Errc::server_failed,
-                  "multiple concurrent failures exceed the scheme's "
-                  "redundancy"};
-}
-
-sim::Task<Result<Buffer>> Recovery::degraded_read_rs(
-    const pvfs::OpenFile& f, Scheme sch, std::uint64_t off, std::uint64_t len,
-    std::vector<std::uint32_t> failed) {
-  if (len == 0) co_return Buffer::real(0);
-  if (failed.size() > sch.m) {
-    co_return Error{Errc::server_failed,
-                    "rs: more concurrent failures than coding fragments"};
-  }
-  // One part per unit piece, in file order; each task fills its own.
-  const auto pieces = f.layout.decompose(off, len);
-  std::vector<Buffer> parts(pieces.size());
-  bool phantom = false;
-  bool error = false;
-  Error first_error;
-  std::vector<sim::Task<void>> tasks;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    tasks.push_back(
-        [](Recovery* self, const pvfs::OpenFile* file, Scheme sch,
-           StripeLayout::Extent ext, const std::vector<std::uint32_t>* down,
-           Buffer* sink, bool* phant, bool* err,
-           Error* ferr) -> sim::Task<void> {
-          Result<Buffer> piece = Buffer::real(0);
-          if (contains(*down, ext.server)) {
-            piece = co_await self->reconstruct_rs_piece(
-                *file, sch, *down, ext.global_off, ext.len);
-          } else {
-            Request r;
-            r.op = Op::read_data;
-            r.handle = file->handle;
-            r.off = ext.local_off;
-            r.len = ext.len;
-            r.su = file->layout.stripe_unit;
-            auto resp = co_await self->client_->rpc(ext.server, std::move(r));
-            piece = resp.ok ? Result<Buffer>(std::move(resp.data))
-                            : Result<Buffer>(Error{resp.err, "read"});
-          }
-          if (!piece.ok()) {
-            if (!*err) *ferr = piece.error();
-            *err = true;
-            co_return;
-          }
-          assert(piece.value().size() == ext.len);
-          if (!piece.value().materialized()) *phant = true;
-          *sink = std::move(piece.value());
-        }(this, &f, sch, pieces[i], &failed, &parts[i], &phantom, &error,
+        }(this, &f, pieces[i], &failed, &parts[i], &phantom, &error,
           &first_error));
   }
   co_await sim::when_all(client_->cluster().sim(), std::move(tasks));
@@ -417,23 +287,31 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
                                                  std::uint64_t off,
                                                  Buffer data,
                                                  std::uint32_t failed) {
+  return degraded_write(f, off, std::move(data),
+                        std::vector<std::uint32_t>{failed});
+}
+
+sim::Task<Result<void>> Recovery::degraded_write(
+    const pvfs::OpenFile& f, std::uint64_t off, Buffer data,
+    std::vector<std::uint32_t> failed) {
   const StripeLayout& layout = f.layout;
   const std::uint32_t n = layout.n();
   const std::uint64_t su = layout.su();
   const std::uint64_t len = data.size();
-  if (len == 0) co_return Result<void>::success();
-  const Scheme sch = scheme_of(f);
-  if (sch.kind == SchemeKind::rs) {
-    std::vector<std::uint32_t> down;
-    down.push_back(failed);
-    co_return co_await degraded_write_rs(f, sch, off, std::move(data),
-                                         std::move(down));
+  if (failed.empty()) {
+    co_return Error{Errc::invalid_argument, "degraded write with no failure"};
   }
+  if (len == 0) co_return Result<void>::success();
+  if (failed.size() > failure_budget(f)) {
+    co_return Error{Errc::server_failed,
+                    "more concurrent failures than the scheme's redundancy"};
+  }
+  const Scheme sch = scheme_of(f);
   const std::uint32_t gen = red_gen_of(f);
 
   if (sch == Scheme::raid0) {
     for (const auto& e : layout.decompose(off, len)) {
-      if (e.server == failed) {
+      if (contains(failed, e.server)) {
         co_return Error{Errc::server_failed, "RAID0 degraded write"};
       }
     }
@@ -449,7 +327,7 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
     for (const auto& e : layout.decompose_merged(off, len)) {
       Buffer payload =
           pvfs::Client::gather_for_server(layout, off, data, e.server);
-      if (e.server != failed) {
+      if (!contains(failed, e.server)) {
         Request w;
         w.op = Op::write_data;
         w.handle = f.handle;
@@ -460,7 +338,7 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
         reqs.emplace_back(e.server, std::move(w));
       }
       const std::uint32_t mirror = (e.server + 1) % n;
-      if (mirror != failed) {
+      if (!contains(failed, mirror)) {
         Request m;
         m.op = Op::write_red;
         m.handle = f.handle;
@@ -479,69 +357,91 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
     co_return Result<void>::success();
   }
 
-  // Parity schemes (RAID5 variants and the Hybrid full-stripe path share
-  // the same degraded logic; Hybrid's partial path differs below). `inval`
-  // extends the overflow invalidations Hybrid needs to ex-Hybrid files
-  // migrated onto an in-place parity scheme; never-Hybrid files skip them.
-  const auto ws = layout.split_write(off, len);
-  const bool hybrid = sch == Scheme::hybrid;
+  // Group codes (RAID4, the RAID5 variants, rs(k,m) and Hybrid's full
+  // stripes; Hybrid's partial path differs below). `inval` extends the
+  // overflow invalidations Hybrid needs to ex-Hybrid files migrated onto an
+  // in-place scheme; never-Hybrid files skip them.
+  const GroupCode gc = *group_code(sch, layout);
+  const std::uint32_t k = gc.k();
+  const std::uint32_t m = gc.m();
   const bool inval = overlay_overflow(f);
+  const bool mat = data.materialized();
+  const auto ws = layout.split_write_w(off, len, gc.width());
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  std::uint64_t gf_bytes = 0;
 
-  // --- full groups: compute fresh parity; the failed data unit's content
-  //     is representable only through the parity, so the parity write is
-  //     what makes the write durable. ---
-  if (ws.full_end > ws.full_start) {
-    for (std::uint64_t g = ws.full_start / layout.stripe_width();
-         g < ws.full_end / layout.stripe_width(); ++g) {
-      const std::uint32_t ps = layout.parity_server(g);
-      if (ps != failed) {
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.parity_local_off(g);
-        w.payload = CsarFs::full_group_parity(layout, g, off, data);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        if (inval) {
-          // The parity server holds no data unit of g, but it may hold
-          // mirror overflow entries for its predecessor's unit (crucially,
-          // when the predecessor is the *failed* server whose new content
-          // now lives only in this parity): invalidate them here, exactly
-          // as the normal write path does.
-          const std::uint32_t prev = (ps + n - 1) % n;
-          for (std::uint64_t v = g * (n - 1); v < (g + 1) * (n - 1); ++v) {
-            if (layout.server_of_unit(v) == prev) {
-              w.inval_mirror = {layout.local_unit(v) * su,
-                                layout.local_unit(v) * su + su};
-            }
-          }
-        }
-        writes.emplace_back(ps, std::move(w));
+  // Mirror-overflow invalidation interval a write on server `s` owes for
+  // its predecessor's unit within group g (ex-Hybrid files only) — crucially
+  // when the predecessor is a failed server whose new content now lives
+  // only in the coding, exactly as the normal write path does.
+  auto mirror_inval = [&](std::uint64_t g, std::uint32_t s, Request& w) {
+    const std::uint32_t prev = (s + n - 1) % n;
+    for (std::uint64_t v = g * k; v < (g + 1) * k; ++v) {
+      if (layout.server_of_unit(v) == prev) {
+        w.inval_mirror = {layout.local_unit(v) * su,
+                          layout.local_unit(v) * su + su};
       }
-      for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
-        const std::uint32_t s = layout.server_of_unit(u);
-        if (s == failed) continue;
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = layout.local_unit(u) * su;
-        w.payload = data.slice(u * su - off, su);
-        w.su = layout.stripe_unit;
-        if (inval) {
-          w.inval_own = {w.off, w.off + su};
-          // Mirror entries this server holds for its (possibly failed)
-          // predecessor within the same group.
-          const std::uint32_t prev = (s + n - 1) % n;
-          for (std::uint64_t v = g * (n - 1); v < (g + 1) * (n - 1); ++v) {
-            if (layout.server_of_unit(v) == prev) {
-              w.inval_mirror = {layout.local_unit(v) * su,
-                                layout.local_unit(v) * su + su};
-            }
-          }
-        }
-        writes.emplace_back(s, std::move(w));
+    }
+  };
+  // In-place write of one extent on a live server, plus the mirror-entry
+  // invalidation its successor owes an ex-Hybrid file.
+  auto write_extent = [&](const StripeLayout::Extent& e) {
+    Request w;
+    w.op = Op::write_data;
+    w.handle = f.handle;
+    w.off = e.local_off;
+    w.payload = data.slice(e.global_off - off, e.len);
+    w.su = layout.stripe_unit;
+    if (inval) {
+      w.inval_own = Interval{e.local_off, e.local_off + e.len};
+      const std::uint32_t ms = (e.server + 1) % n;
+      if (!contains(failed, ms)) {
+        Request iv;
+        iv.op = Op::write_data;
+        iv.handle = f.handle;
+        iv.off = e.local_off;
+        iv.su = layout.stripe_unit;
+        iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
+        writes.emplace_back(ms, std::move(iv));
       }
+    }
+    writes.emplace_back(e.server, std::move(w));
+  };
+
+  // --- full groups: fresh coding to every live coding server; data in
+  //     place on the live data servers. A lost unit's content is
+  //     representable only through the coding, so the coding write is what
+  //     makes the write durable (at most m servers are down). ---
+  for (std::uint64_t g = ws.full_start / gc.width();
+       g < ws.full_end / gc.width(); ++g) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const std::uint32_t cs = gc.coding_server(g, j);
+      if (contains(failed, cs)) continue;
+      gf_bytes += std::uint64_t{k} * su;
+      Request w;
+      w.op = Op::write_red;
+      w.handle = f.handle;
+      w.off = gc.coding_off(g);
+      w.payload = CsarFs::full_group_coding(gc, g, j, off, data);
+      w.su = layout.stripe_unit;
+      w.red_gen = gen;
+      if (inval) mirror_inval(g, cs, w);
+      writes.emplace_back(cs, std::move(w));
+    }
+    for (std::uint64_t u = g * k; u < (g + 1) * k; ++u) {
+      const std::uint32_t s = layout.server_of_unit(u);
+      if (contains(failed, s)) continue;
+      Request w;
+      w.op = Op::write_data;
+      w.handle = f.handle;
+      w.off = layout.local_unit(u) * su;
+      w.payload = data.slice(u * su - off, su);
+      w.su = layout.stripe_unit;
+      if (inval) {
+        w.inval_own = {w.off, w.off + su};
+        mirror_inval(g, s, w);
+      }
+      writes.emplace_back(s, std::move(w));
     }
   }
 
@@ -550,13 +450,13 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
   if (ws.head_end > ws.head_start) segs.push_back({ws.head_start, ws.head_end});
   if (ws.tail_end > ws.tail_start) segs.push_back({ws.tail_start, ws.tail_end});
 
-  if (hybrid) {
+  if (sch == Scheme::hybrid) {
     // Partial stripes: primary + mirror overflow copies; write whichever of
     // the pair is alive.
     for (const auto& seg : segs) {
       for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
         Buffer piece = data.slice(e.global_off - off, e.len);
-        if (e.server != failed) {
+        if (!contains(failed, e.server)) {
           Request primary;
           primary.op = Op::write_overflow;
           primary.handle = f.handle;
@@ -567,7 +467,7 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
           writes.emplace_back(e.server, std::move(primary));
         }
         const std::uint32_t mirror_srv = (e.server + 1) % n;
-        if (mirror_srv != failed) {
+        if (!contains(failed, mirror_srv)) {
           Request mirror;
           mirror.op = Op::write_overflow;
           mirror.handle = f.handle;
@@ -580,300 +480,18 @@ sim::Task<Result<void>> Recovery::degraded_write(const pvfs::OpenFile& f,
         }
       }
     }
-  } else {
-    // RAID5: degraded partial stripes use reconstruct-write — read the old
-    // parity (locked) plus every surviving unit's columns, rebuild the lost
-    // unit's old content, overlay the new data, and recompute the parity
-    // outright.
-    const bool locking = sch != Scheme::raid5_nolock;
-    for (const auto& seg : segs) {
-      const std::uint64_t g = layout.group_of_off(seg.start);
-      const std::uint32_t ps = layout.parity_server(g);
-      // Column range: the whole span touched within the group.
-      std::uint64_t c0 = su;
-      std::uint64_t c1 = 0;
-      for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-        c0 = std::min(c0, e.global_off % su);
-        c1 = std::max(c1, e.global_off % su + e.len);
-      }
-
-      if (ps == failed) {
-        // Parity lost: just update the surviving data (the rebuild will
-        // recompute the parity from it). A write to a lost *data* unit in
-        // this group would be unrecordable — report it.
-        for (const auto& e :
-             layout.decompose(seg.start, seg.end - seg.start)) {
-          if (e.server == failed) {
-            co_return Error{Errc::server_failed,
-                            "degraded write to lost unit with lost parity"};
-          }
-          Request w;
-          w.op = Op::write_data;
-          w.handle = f.handle;
-          w.off = e.local_off;
-          w.payload = data.slice(e.global_off - off, e.len);
-          w.su = layout.stripe_unit;
-          if (inval) {
-            w.inval_own = Interval{e.local_off, e.local_off + e.len};
-            const std::uint32_t ms = (e.server + 1) % n;
-            if (ms != failed) {
-              Request iv;
-              iv.op = Op::write_data;
-              iv.handle = f.handle;
-              iv.off = e.local_off;
-              iv.su = layout.stripe_unit;
-              iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-              writes.emplace_back(ms, std::move(iv));
-            }
-          }
-          writes.emplace_back(e.server, std::move(w));
-        }
-        continue;
-      }
-
-      // Read parity (locked) and all surviving units over [c0, c1).
-      const std::uint64_t rmw_token =
-          locking ? client_->next_rmw_token() : 0;
-      Request pr;
-      pr.op = Op::read_red;
-      pr.handle = f.handle;
-      pr.off = layout.parity_local_off(g) + c0;
-      pr.len = c1 - c0;
-      pr.lock = locking;
-      pr.rmw_token = rmw_token;
-      pr.su = layout.stripe_unit;
-      pr.red_gen = gen;
-      auto presp = co_await client_->rpc(ps, std::move(pr));
-      if (!presp.ok) co_return Error{presp.err, "degraded parity read"};
-
-      std::vector<std::pair<std::uint32_t, Request>> reads;
-      std::vector<std::uint64_t> read_units;
-      for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
-        if (layout.server_of_unit(u) == failed) continue;
-        Request r;
-        r.op = Op::read_data_raw;
-        r.handle = f.handle;
-        r.off = layout.local_unit(u) * su + c0;
-        r.len = c1 - c0;
-        reads.emplace_back(layout.server_of_unit(u), std::move(r));
-        read_units.push_back(u);
-      }
-      auto old = co_await client_->rpc_all(std::move(reads));
-      for (const auto& resp : old) {
-        if (!resp.ok) {
-          // Abandoning the RMW with the parity lock held: release it
-          // explicitly (owner-checked, writes nothing) so the group is not
-          // wedged until the lease reaper fires.
-          if (locking) {
-            Request ur;
-            ur.op = Op::unlock_red;
-            ur.handle = f.handle;
-            ur.off = layout.parity_local_off(g) + c0;
-            ur.rmw_token = rmw_token;
-            ur.su = layout.stripe_unit;
-            ur.red_gen = gen;
-            (void)co_await client_->rpc(ps, std::move(ur));
-          }
-          co_return Error{resp.err, "degraded old-data read"};
-        }
-      }
-
-      Buffer parity;
-      if (data.materialized()) {
-        // Reconstruct the lost unit's old columns, then rebuild parity as
-        // the XOR of every unit's *after* content.
-        Buffer lost_old = Buffer::real(c1 - c0);
-        lost_old.xor_with(presp.data);
-        for (const auto& resp : old) lost_old.xor_with(resp.data);
-        parity = Buffer::real(c1 - c0);
-        for (std::size_t i = 0; i < old.size(); ++i) {
-          Buffer after = old[i].data.slice(0, c1 - c0);
-          overlay_new(layout, off, data, seg, read_units[i], c0, after);
-          parity.xor_with(after);
-        }
-        // The failed unit's after-content.
-        const std::uint64_t u_failed = [&]() -> std::uint64_t {
-          for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
-            if (layout.server_of_unit(u) == failed) return u;
-          }
-          return ~0ULL;
-        }();
-        if (u_failed != ~0ULL) {
-          Buffer after = std::move(lost_old);
-          overlay_new(layout, off, data, seg, u_failed, c0, after);
-          parity.xor_with(after);
-        }
-      } else {
-        parity = Buffer::phantom(c1 - c0);
-      }
-      auto& node = client_->cluster().node(client_->node_id());
-      co_await node.tx().occupy(sim::transfer_time(
-          (c1 - c0) * n, node.params().xor_bytes_per_sec));
-
-      Request pw;
-      pw.op = Op::write_red;
-      pw.handle = f.handle;
-      pw.off = layout.parity_local_off(g) + c0;
-      pw.payload = std::move(parity);
-      pw.unlock = locking;
-      pw.rmw_token = rmw_token;
-      pw.su = layout.stripe_unit;
-      pw.red_gen = gen;
-      writes.emplace_back(ps, std::move(pw));
-
-      for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-        if (e.server == failed) continue;
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = e.local_off;
-        w.payload = data.slice(e.global_off - off, e.len);
-        w.su = layout.stripe_unit;
-        if (inval) {
-          w.inval_own = Interval{e.local_off, e.local_off + e.len};
-          const std::uint32_t ms = (e.server + 1) % n;
-          if (ms != failed) {
-            Request iv;
-            iv.op = Op::write_data;
-            iv.handle = f.handle;
-            iv.off = e.local_off;
-            iv.su = layout.stripe_unit;
-            iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-            writes.emplace_back(ms, std::move(iv));
-          }
-        }
-        writes.emplace_back(e.server, std::move(w));
-      }
-    }
+    segs.clear();
   }
 
-  auto resps = co_await client_->rpc_all(std::move(writes));
-  for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "degraded write"};
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> Recovery::degraded_write(
-    const pvfs::OpenFile& f, std::uint64_t off, Buffer data,
-    std::vector<std::uint32_t> failed) {
-  if (failed.empty()) {
-    co_return Error{Errc::invalid_argument, "degraded write with no failure"};
-  }
-  const Scheme sch = scheme_of(f);
-  if (sch.kind == SchemeKind::rs) {
-    co_return co_await degraded_write_rs(f, sch, off, std::move(data),
-                                         std::move(failed));
-  }
-  if (failed.size() == 1) {
-    co_return co_await degraded_write(f, off, std::move(data),
-                                      failed.front());
-  }
-  co_return Error{Errc::server_failed,
-                  "multiple concurrent failures exceed the scheme's "
-                  "redundancy"};
-}
-
-sim::Task<Result<void>> Recovery::degraded_write_rs(
-    const pvfs::OpenFile& f, Scheme sch, std::uint64_t off, Buffer data,
-    std::vector<std::uint32_t> failed) {
-  const StripeLayout& layout = f.layout;
-  const std::uint32_t n = layout.n();
-  const std::uint64_t su = layout.su();
-  const std::uint64_t len = data.size();
-  if (len == 0) co_return Result<void>::success();
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  if (failed.size() > m) {
-    co_return Error{Errc::server_failed,
-                    "rs: more concurrent failures than coding fragments"};
-  }
-  const std::uint32_t gen = red_gen_of(f);
-  const bool inval = overlay_overflow(f);
-  const bool mat = data.materialized();
-  const std::uint64_t W = layout.rs_group_width(k);
-  const auto ws = layout.split_write_w(off, len, W);
-  std::vector<std::pair<std::uint32_t, Request>> writes;
-  std::uint64_t gf_bytes = 0;
-
-  // Mirror-overflow invalidation interval a write on server `s` owes for its
-  // predecessor's unit within group g (ex-Hybrid files only) — same logic as
-  // the parity schemes' degraded path.
-  auto mirror_inval = [&](std::uint64_t g, std::uint32_t s,
-                          Request& w) {
-    const std::uint32_t prev = (s + n - 1) % n;
-    for (std::uint64_t v = g * k; v < (g + 1) * k; ++v) {
-      if (layout.server_of_unit(v) == prev) {
-        w.inval_mirror = {layout.local_unit(v) * su,
-                          layout.local_unit(v) * su + su};
-      }
-    }
-  };
-
-  // --- full groups: fresh coding fragments to every live coding server;
-  //     data in place on the live data servers. A lost fragment's content
-  //     stays representable through the survivors (at most m are down). ---
-  if (ws.full_end > ws.full_start) {
-    for (std::uint64_t g = ws.full_start / W; g < ws.full_end / W; ++g) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        const std::uint32_t cs = layout.rs_coding_server(g, k, j);
-        if (contains(failed, cs)) continue;
-        Buffer coding = mat ? Buffer::real(su) : Buffer::phantom(su);
-        if (mat) {
-          auto dst = coding.mutable_bytes();
-          for (std::uint32_t i = 0; i < k; ++i) {
-            const std::uint64_t pos =
-                layout.rs_group_start(g, k) + std::uint64_t{i} * su;
-            gf_muladd_region(dst, data.slice(pos - off, su).bytes(),
-                             rs_coeff(spec, j, i));
-          }
-        }
-        gf_bytes += std::uint64_t{k} * su;
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.rs_coding_local_off(g);
-        w.payload = std::move(coding);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        if (inval) mirror_inval(g, cs, w);
-        writes.emplace_back(cs, std::move(w));
-      }
-      for (std::uint64_t u = g * k; u < (g + 1) * k; ++u) {
-        const std::uint32_t s = layout.server_of_unit(u);
-        if (contains(failed, s)) continue;
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = layout.local_unit(u) * su;
-        w.payload = data.slice(u * su - off, su);
-        w.su = layout.stripe_unit;
-        if (inval) {
-          w.inval_own = {w.off, w.off + su};
-          mirror_inval(g, s, w);
-        }
-        writes.emplace_back(s, std::move(w));
-      }
-    }
-  }
-
-  // --- partial segments (ascending group order): reconstruct-write. Lock
-  //     and read every live coding fragment of the group, read the live
-  //     data units' old columns, decode any lost unit's old content from k
-  //     live fragments, overlay the new bytes, and re-encode every live
-  //     coding fragment outright. ---
-  std::vector<Seg> segs;
-  if (ws.head_end > ws.head_start) segs.push_back({ws.head_start, ws.head_end});
-  if (ws.tail_end > ws.tail_start) segs.push_back({ws.tail_start, ws.tail_end});
-
+  // Reconstruct-write: lock and read every live coding fragment of the
+  // group, read the live data units' old columns, decode any lost unit's
+  // old content from k live fragments, overlay the new bytes, and re-encode
+  // every live coding fragment outright.
   for (const auto& seg : segs) {
-    const std::uint64_t g = layout.rs_group_of_off(seg.start, k);
+    const std::uint64_t g = gc.group_of_off(seg.start);
     std::vector<std::uint32_t> live_j;
     for (std::uint32_t j = 0; j < m; ++j) {
-      if (!contains(failed, layout.rs_coding_server(g, k, j))) {
-        live_j.push_back(j);
-      }
+      if (!contains(failed, gc.coding_server(g, j))) live_j.push_back(j);
     }
     // Column range: the whole span touched within the group.
     std::uint64_t c0 = su;
@@ -886,43 +504,23 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
     }
 
     if (live_j.empty()) {
-      // Every coding fragment of this group is down (all failures sit on
-      // its coding servers, so all data servers are live): update the data
-      // in place; the rebuild recomputes the coding. A write to a lost data
-      // unit would be unrecordable — but none can be lost here.
+      // Every coding fragment of this group is down, so every data server
+      // is live: update the data in place; the rebuild recomputes the
+      // coding. A write to a lost data unit here would be unrecordable.
       if (lost_touched) {
         co_return Error{Errc::server_failed,
-                        "rs degraded write with no live coding fragment"};
+                        "degraded write to a lost unit with no live coding"};
       }
       for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-        Request w;
-        w.op = Op::write_data;
-        w.handle = f.handle;
-        w.off = e.local_off;
-        w.payload = data.slice(e.global_off - off, e.len);
-        w.su = layout.stripe_unit;
-        if (inval) {
-          w.inval_own = Interval{e.local_off, e.local_off + e.len};
-          const std::uint32_t ms = (e.server + 1) % n;
-          if (!contains(failed, ms)) {
-            Request iv;
-            iv.op = Op::write_data;
-            iv.handle = f.handle;
-            iv.off = e.local_off;
-            iv.su = layout.stripe_unit;
-            iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-            writes.emplace_back(ms, std::move(iv));
-          }
-        }
-        writes.emplace_back(e.server, std::move(w));
+        write_extent(e);
       }
       continue;
     }
 
-    // Locked coding reads, ascending j — the §5.1 ordered-acquisition rule
-    // generalized: within a group the coding servers are visited in
-    // fragment order, and segments arrive in ascending group order.
-    const std::uint64_t rmw_token = client_->next_rmw_token();
+    // Locked coding reads, ascending j — the §5.1 ordered-acquisition rule:
+    // within a group the coding servers are visited in fragment order, and
+    // segments arrive in ascending group order.
+    const std::uint64_t rmw_token = gc.lock ? client_->next_rmw_token() : 0;
     std::vector<Buffer> coding_old(live_j.size());
     auto release_locks = [&](std::size_t upto) -> sim::Task<void> {
       std::vector<std::pair<std::uint32_t, Request>> rel;
@@ -930,41 +528,33 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
         Request u;
         u.op = Op::unlock_red;
         u.handle = f.handle;
-        u.off = layout.rs_coding_local_off(g) + c0;
+        u.off = gc.coding_off(g) + c0;
         u.rmw_token = rmw_token;
         u.su = layout.stripe_unit;
         u.red_gen = gen;
-        rel.emplace_back(layout.rs_coding_server(g, k, live_j[x]),
-                         std::move(u));
+        rel.emplace_back(gc.coding_server(g, live_j[x]), std::move(u));
       }
-      (void)co_await client_->rpc_all(std::move(rel));
+      (void)co_await coding_rpcs(gc, std::move(rel));
     };
-    bool lock_failed = false;
-    Errc lock_errc = Errc::ok;
     for (std::size_t idx = 0; idx < live_j.size(); ++idx) {
       Request pr;
       pr.op = Op::read_red;
       pr.handle = f.handle;
-      pr.off = layout.rs_coding_local_off(g) + c0;
+      pr.off = gc.coding_off(g) + c0;
       pr.len = c1 - c0;
-      pr.lock = true;
+      pr.lock = gc.lock;
       pr.rmw_token = rmw_token;
       pr.su = layout.stripe_unit;
       pr.red_gen = gen;
-      auto presp = co_await client_->rpc(
-          layout.rs_coding_server(g, k, live_j[idx]), std::move(pr));
+      auto presp = co_await client_->rpc(gc.coding_server(g, live_j[idx]),
+                                         std::move(pr));
       if (!presp.ok) {
-        // Release what we hold (including this one: the envelope may have
-        // taken the lock server-side before failing).
-        co_await release_locks(idx + 1);
-        lock_failed = true;
-        lock_errc = presp.err;
-        break;
+        // Release what we hold, including this one: the envelope may have
+        // taken the lock server-side before failing.
+        if (gc.lock) co_await release_locks(idx + 1);
+        co_return Error{presp.err, "degraded coding read"};
       }
       coding_old[idx] = std::move(presp.data);
-    }
-    if (lock_failed) {
-      co_return Error{lock_errc, "rs degraded coding read"};
     }
 
     // Old columns of every live data unit.
@@ -984,8 +574,11 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
     auto old = co_await client_->rpc_all(std::move(reads));
     for (const auto& resp : old) {
       if (!resp.ok) {
-        co_await release_locks(live_j.size());
-        co_return Error{resp.err, "rs degraded old-data read"};
+        // Abandoning the RMW with the coding locks held: release them
+        // explicitly (owner-checked, writes nothing) so the group is not
+        // wedged until the lease reaper fires.
+        if (gc.lock) co_await release_locks(live_j.size());
+        co_return Error{resp.err, "degraded old-data read"};
       }
     }
 
@@ -998,16 +591,14 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
       for (std::size_t r = 0; r < read_frags.size(); ++r) {
         after[read_frags[r]] = old[r].data.slice(0, c1 - c0);
       }
-      std::vector<std::uint32_t> present;
-      for (const std::uint32_t i : read_frags) present.push_back(i);
+      std::vector<std::uint32_t> present = read_frags;
       for (std::size_t x = 0; x < live_j.size() && present.size() < k; ++x) {
         present.push_back(k + live_j[x]);
       }
       for (std::uint32_t i = 0; i < k; ++i) {
         if (!after[i].empty()) continue;  // live fragment, already read
-        const auto coeffs = rs_reconstruct_coeffs(spec, present, i);
+        const auto coeffs = rs_reconstruct_coeffs(gc.spec, present, i);
         Buffer lost_old = Buffer::real(c1 - c0);
-        auto dst = lost_old.mutable_bytes();
         for (std::size_t r = 0; r < present.size(); ++r) {
           const std::uint32_t frag = present[r];
           const Buffer& src =
@@ -1015,7 +606,7 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
                        : coding_old[std::find(live_j.begin(), live_j.end(),
                                               frag - k) -
                                     live_j.begin()];
-          gf_muladd_region(dst, src.bytes(), coeffs[r]);
+          gf_muladd_region(lost_old.mutable_bytes(), src.bytes(), coeffs[r]);
         }
         gf_bytes += std::uint64_t{k} * (c1 - c0);
         after[i] = std::move(lost_old);
@@ -1025,10 +616,9 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
       }
       for (std::size_t x = 0; x < live_j.size(); ++x) {
         coding_new[x] = Buffer::real(c1 - c0);
-        auto dst = coding_new[x].mutable_bytes();
         for (std::uint32_t i = 0; i < k; ++i) {
-          gf_muladd_region(dst, after[i].bytes(),
-                           rs_coeff(spec, live_j[x], i));
+          gf_muladd_region(coding_new[x].mutable_bytes(), after[i].bytes(),
+                           rs_coeff(gc.spec, live_j[x], i));
         }
         gf_bytes += std::uint64_t{k} * (c1 - c0);
       }
@@ -1043,44 +633,26 @@ sim::Task<Result<void>> Recovery::degraded_write_rs(
       Request pw;
       pw.op = Op::write_red;
       pw.handle = f.handle;
-      pw.off = layout.rs_coding_local_off(g) + c0;
+      pw.off = gc.coding_off(g) + c0;
       pw.payload = std::move(coding_new[x]);
-      pw.unlock = true;
+      pw.unlock = gc.lock;
       pw.rmw_token = rmw_token;
       pw.su = layout.stripe_unit;
       pw.red_gen = gen;
-      writes.emplace_back(layout.rs_coding_server(g, k, live_j[x]),
-                          std::move(pw));
+      writes.emplace_back(gc.coding_server(g, live_j[x]), std::move(pw));
     }
     for (const auto& e : layout.decompose(seg.start, seg.end - seg.start)) {
-      if (contains(failed, e.server)) continue;
-      Request w;
-      w.op = Op::write_data;
-      w.handle = f.handle;
-      w.off = e.local_off;
-      w.payload = data.slice(e.global_off - off, e.len);
-      w.su = layout.stripe_unit;
-      if (inval) {
-        w.inval_own = Interval{e.local_off, e.local_off + e.len};
-        const std::uint32_t ms = (e.server + 1) % n;
-        if (!contains(failed, ms)) {
-          Request iv;
-          iv.op = Op::write_data;
-          iv.handle = f.handle;
-          iv.off = e.local_off;
-          iv.su = layout.stripe_unit;
-          iv.inval_mirror = Interval{e.local_off, e.local_off + e.len};
-          writes.emplace_back(ms, std::move(iv));
-        }
-      }
-      writes.emplace_back(e.server, std::move(w));
+      if (!contains(failed, e.server)) write_extent(e);
     }
   }
 
-  if (policy_ != nullptr && gf_bytes > 0) policy_->note_ec_encode(gf_bytes);
+  // (e) Only rs feeds the erasure-coding statistics.
+  if (gc.rs && policy_ != nullptr && gf_bytes > 0) {
+    policy_->note_ec_encode(gf_bytes);
+  }
   auto resps = co_await client_->rpc_all(std::move(writes));
   for (const auto& resp : resps) {
-    if (!resp.ok) co_return Error{resp.err, "rs degraded write"};
+    if (!resp.ok) co_return Error{resp.err, "degraded write"};
   }
   co_return Result<void>::success();
 }
@@ -1103,45 +675,52 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
     // mixed-scheme pass over many files can treat every file uniformly.
     co_return Result<void>::success();
   }
+  // nullopt: RAID1, whose passes copy mirror blocks instead of decoding.
+  const std::optional<GroupCode> gc = group_code(sch, layout);
+  // Servers unreadable during this pass: the rebuild target itself plus,
+  // with several coding fragments, any concurrent outages — decodes route
+  // around all of them (any k live fragments suffice). With one coding
+  // fragment there is nothing to route around: also_down is ignored, and
+  // the survivor reads fail loudly if one is actually needed.
+  std::vector<std::uint32_t> down;
+  if (gc && gc->m() > 1) down = opt.also_down;
+  if (!contains(down, failed)) down.push_back(failed);
+  std::sort(down.begin(), down.end());
 
-  // rs(k,m): data and coding fragments are both decoded from any k live
-  //   fragments (around concurrent outages in opt.also_down), in a dedicated
-  //   pass; the overflow overlay of an ex-Hybrid rs file is then restored by
-  //   the shared step 3 below.
-  const bool rs = sch.kind == SchemeKind::rs;
-  if (rs) {
-    auto rb = co_await rebuild_server_rs(f, sch, failed, file_size, opt);
-    if (!rb.ok()) co_return rb;
-  }
-
-  // 1. Data file: reconstruct every unit the failed server held. For parity
-  //    schemes this restores the *base* content (data file only), keeping
-  //    the surviving parity consistent; overflow entries are restored
-  //    separately in step 3. Units are rebuilt with a pipeline window so
-  //    the survivor reads and replacement writes stream concurrently — the
-  //    rebuilding node's links become the bottleneck, as in a real rebuild.
+  // First unit of `s` in the data layout (none for RAID4's parity server).
   const std::uint32_t dn = layout.data_servers();
-  if (!rs) {
-    constexpr std::uint32_t kWindow = 16;
+  auto first_unit = [&](std::uint32_t s) -> std::uint64_t {
+    return (s + dn - layout.base % dn) % dn;
+  };
+
+  // 1. Data file: reconstruct every unit the failed server held. This
+  //    restores the *base* content (data file only), keeping the surviving
+  //    redundancy consistent; overflow entries are restored separately in
+  //    step 3. Units are rebuilt with a pipeline window so the survivor
+  //    reads and replacement writes stream concurrently — the rebuilding
+  //    node's links become the bottleneck, as in a real rebuild.
+  constexpr std::uint32_t kWindow = 16;
+  {
     sim::Semaphore window(client_->cluster().sim(), kWindow);
     sim::WaitGroup wg(client_->cluster().sim());
     bool error = false;
     Error first_error;
-    for (std::uint64_t u = failed; failed < dn && u * su < file_size;
-         u += dn) {
+    for (std::uint64_t u = first_unit(failed);
+         failed < dn && u * su < file_size; u += dn) {
       const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
       if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) continue;
       if (opt.throttle) {
-        // raid1: one mirror read + one replacement write. Parity: N-1
-        // survivor reads + one replacement write, all unit-sized.
-        co_await opt.throttle->take(
-            sch == Scheme::raid1 ? 2 * len : std::uint64_t{n} * len);
+        // raid1: one mirror read + one replacement write. Group codes: k
+        // fragment reads + one replacement write, all unit-sized.
+        co_await opt.throttle->take(gc ? std::uint64_t{gc->k() + 1} * len
+                                       : 2 * len);
       }
       co_await window.acquire();
       wg.add();
       client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, std::uint32_t fsrv,
-             std::uint64_t unit, std::uint64_t len, sim::Semaphore* sem,
+          [](Recovery* self, pvfs::OpenFile file, std::optional<GroupCode> code,
+             std::uint32_t fsrv, std::uint64_t unit, std::uint64_t len,
+             std::vector<std::uint32_t> down, sim::Semaphore* sem,
              sim::WaitGroup* done, bool* err, Error* ferr) -> sim::Task<void> {
             const StripeLayout& lay = file.layout;
             // NOTE: deliberately not a ?: expression — GCC 12 miscompiles
@@ -1149,27 +728,29 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
             // of the materialized result).
             // Both branches restore the *base* content (no overflow
             // overlay — step 3 restores the overlay's tables separately):
-            // RAID1's mirror tracks the data file byte-for-byte, parity
-            // schemes XOR the raw survivors.
+            // RAID1's mirror tracks the data file byte-for-byte, group
+            // codes decode the raw survivors.
             Result<Buffer> piece = Buffer{};
-            if (self->scheme_of(file) == Scheme::raid1) {
+            if (code) {
+              piece = co_await self->reconstruct(
+                  file, *code, code->group_of_unit(unit),
+                  static_cast<std::uint32_t>(unit % code->k()), 0, len, down,
+                  /*for_rebuild=*/true);
+            } else {
               Request r;
               r.op = Op::read_red;
               r.handle = file.handle;
               r.off = lay.local_unit(unit) * lay.su();
               r.len = len;
-              r.su = file.layout.stripe_unit;
+              r.su = lay.stripe_unit;
               r.red_gen = self->red_gen_of(file);
-              auto resp = co_await self->client_->rpc(
-                  (fsrv + 1) % lay.n(), std::move(r));
+              auto resp = co_await self->client_->rpc((fsrv + 1) % lay.n(),
+                                                      std::move(r));
               if (resp.ok) {
                 piece = std::move(resp.data);
               } else {
                 piece = Error{resp.err, "raid1 mirror read"};
               }
-            } else {
-              piece = co_await self->reconstruct_base(file, fsrv,
-                                                      unit * lay.su(), len);
             }
             if (!piece.ok()) {
               if (!*err) *ferr = piece.error();
@@ -1189,22 +770,24 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
             }
             sem->release();
             done->done();
-          }(this, f, failed, u, len, &window, &wg, &error, &first_error));
+          }(this, f, gc, failed, u, len, down, &window, &wg, &error,
+            &first_error));
     }
     co_await wg.wait();
     if (error) co_return first_error;
   }
 
-  // 2. Redundancy file (pipelined like step 1).
-  if (!rs) {
-    constexpr std::uint32_t kWindow = 16;
+  // 2. Redundancy file (pipelined like step 1): RAID1 re-copies the mirror
+  //    blocks of the predecessor's data, group codes decode every coding
+  //    fragment placed on the failed server.
+  {
     sim::Semaphore window(client_->cluster().sim(), kWindow);
     sim::WaitGroup wg(client_->cluster().sim());
     bool error = false;
     Error first_error;
-    if (sch == Scheme::raid1) {
-      // Mirror blocks of the predecessor's data, at its local offsets.
-      for (std::uint64_t u = predecessor; u * su < file_size; u += dn) {
+    if (!gc) {
+      for (std::uint64_t u = first_unit(predecessor); u * su < file_size;
+           u += dn) {
         const std::uint64_t len =
             std::min<std::uint64_t>(su, file_size - u * su);
         if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) {
@@ -1247,73 +830,53 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
             }(this, f, failed, predecessor, u, len, &window, &wg, &error,
               &first_error));
       }
-    } else if (uses_parity(sch)) {
-      // Recompute the parity units this server held: groups whose parity
-      // placement lands here.
-      const std::uint64_t ngroups =
-          div_ceil(file_size, layout.stripe_width());
+    } else {
+      const std::uint64_t ngroups = div_ceil(file_size, gc->width());
       for (std::uint64_t g = 0; g < ngroups; ++g) {
-        if (layout.parity_server(g) != failed) continue;
-        if (opt.delta &&
-            !opt.delta->intersects(
-                layout.group_start(g),
-                std::min(layout.group_end(g), file_size))) {
-          continue;
-        }
-        if (opt.throttle) {
-          co_await opt.throttle->take(std::uint64_t{n} * su);
-        }
-        co_await window.acquire();
-        wg.add();
-        client_->cluster().sim().spawn(
-            [](Recovery* self, pvfs::OpenFile file, std::uint32_t fsrv,
-               std::uint64_t group, sim::Semaphore* sem, sim::WaitGroup* done,
-               bool* err, Error* ferr) -> sim::Task<void> {
-              const StripeLayout& lay = file.layout;
-              const std::uint64_t unit_sz = lay.su();
-              std::vector<std::pair<std::uint32_t, Request>> reads;
-              for (std::uint64_t u = group * (lay.n() - 1);
-                   u < (group + 1) * (lay.n() - 1); ++u) {
-                Request r;
-                r.op = Op::read_data_raw;
-                r.handle = file.handle;
-                r.off = lay.local_unit(u) * unit_sz;
-                r.len = unit_sz;
-                reads.emplace_back(lay.server_of_unit(u), std::move(r));
-              }
-              auto resps = co_await self->client_->rpc_all(std::move(reads));
-              Buffer parity = Buffer::real(unit_sz);
-              bool bad = false;
-              for (auto& resp : resps) {
-                if (!resp.ok) {
-                  if (!*err) *ferr = Error{resp.err, "rebuild parity read"};
+        for (std::uint32_t j = 0; j < gc->m(); ++j) {
+          if (gc->coding_server(g, j) != failed) continue;
+          if (opt.delta &&
+              !opt.delta->intersects(
+                  gc->group_start(g),
+                  std::min(gc->group_end(g), file_size))) {
+            continue;
+          }
+          if (opt.throttle) {
+            co_await opt.throttle->take(std::uint64_t{gc->k() + 1} * su);
+          }
+          co_await window.acquire();
+          wg.add();
+          client_->cluster().sim().spawn(
+              [](Recovery* self, pvfs::OpenFile file, GroupCode code,
+                 std::uint32_t fsrv, std::uint64_t group, std::uint32_t frag,
+                 std::vector<std::uint32_t> down, sim::Semaphore* sem,
+                 sim::WaitGroup* done, bool* err,
+                 Error* ferr) -> sim::Task<void> {
+                auto piece = co_await self->reconstruct(
+                    file, code, group, frag, 0, code.layout.su(), down,
+                    /*for_rebuild=*/true);
+                if (!piece.ok()) {
+                  if (!*err) *ferr = piece.error();
                   *err = true;
-                  bad = true;
-                  break;
-                }
-                if (parity.materialized() && resp.data.materialized()) {
-                  parity.xor_with(resp.data);
                 } else {
-                  parity = Buffer::phantom(unit_sz);
+                  Request w;
+                  w.op = Op::write_red;
+                  w.handle = file.handle;
+                  w.off = code.coding_off(group);
+                  w.payload = std::move(piece.value());
+                  w.su = code.layout.stripe_unit;
+                  w.red_gen = self->red_gen_of(file);
+                  auto wr = co_await self->client_->rpc(fsrv, std::move(w));
+                  if (!wr.ok) {
+                    if (!*err) *ferr = Error{wr.err, "rebuild coding write"};
+                    *err = true;
+                  }
                 }
-              }
-              if (!bad) {
-                Request w;
-                w.op = Op::write_red;
-                w.handle = file.handle;
-                w.off = lay.parity_local_off(group);
-                w.payload = std::move(parity);
-                w.su = lay.stripe_unit;
-                w.red_gen = self->red_gen_of(file);
-                auto wr = co_await self->client_->rpc(fsrv, std::move(w));
-                if (!wr.ok) {
-                  if (!*err) *ferr = Error{wr.err, "rebuild parity write"};
-                  *err = true;
-                }
-              }
-              sem->release();
-              done->done();
-            }(this, f, failed, g, &window, &wg, &error, &first_error));
+                sem->release();
+                done->done();
+              }(this, f, *gc, failed, g, gc->k() + j, down, &window, &wg,
+                &error, &first_error));
+        }
       }
     }
     co_await wg.wait();
@@ -1464,143 +1027,6 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   co_return Result<void>::success();
 }
 
-sim::Task<Result<void>> Recovery::rebuild_server_rs(const pvfs::OpenFile& f,
-                                                    Scheme sch,
-                                                    std::uint32_t failed,
-                                                    std::uint64_t file_size,
-                                                    const RebuildOptions& opt) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  // Servers unreadable during this pass: the rebuild target itself plus any
-  // concurrent outages — decodes route around all of them (any k live
-  // fragments suffice, up to m may be gone).
-  std::vector<std::uint32_t> down = opt.also_down;
-  if (!contains(down, failed)) down.push_back(failed);
-  std::sort(down.begin(), down.end());
-
-  // 1. Data units the failed server held: decode each from k live fragments
-  //    of its group and write the replacement, pipelined like the classic
-  //    pass.
-  const std::uint32_t dn = layout.data_servers();
-  {
-    constexpr std::uint32_t kWindow = 16;
-    sim::Semaphore window(client_->cluster().sim(), kWindow);
-    sim::WaitGroup wg(client_->cluster().sim());
-    bool error = false;
-    Error first_error;
-    const std::uint64_t u0 =
-        (failed + dn - layout.base % dn) % dn;  // first unit on `failed`
-    for (std::uint64_t u = u0; u * su < file_size; u += dn) {
-      const std::uint64_t len = std::min<std::uint64_t>(su, file_size - u * su);
-      if (opt.delta && !opt.delta->intersects(u * su, u * su + len)) continue;
-      if (opt.throttle) {
-        // k fragment reads + one replacement write, all unit-sized.
-        co_await opt.throttle->take(std::uint64_t{k + 1} * len);
-      }
-      co_await window.acquire();
-      wg.add();
-      client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-             std::uint32_t fsrv, std::uint64_t unit, std::uint64_t len,
-             std::vector<std::uint32_t> down, sim::Semaphore* sem,
-             sim::WaitGroup* done, bool* err, Error* ferr) -> sim::Task<void> {
-            const StripeLayout& lay = file.layout;
-            const std::uint32_t kk = scheme.code(lay).k;
-            auto piece = co_await self->reconstruct_rs(
-                file, scheme, lay.rs_group_of_unit(unit, kk),
-                static_cast<std::uint32_t>(unit % kk), 0, len, down,
-                /*for_rebuild=*/true);
-            if (!piece.ok()) {
-              if (!*err) *ferr = piece.error();
-              *err = true;
-            } else {
-              Request w;
-              w.op = Op::write_data;
-              w.handle = file.handle;
-              w.off = lay.local_unit(unit) * lay.su();
-              w.payload = std::move(piece.value());
-              w.su = lay.stripe_unit;
-              auto resp = co_await self->client_->rpc(fsrv, std::move(w));
-              if (!resp.ok) {
-                if (!*err) *ferr = Error{resp.err, "rs rebuild data write"};
-                *err = true;
-              }
-            }
-            sem->release();
-            done->done();
-          }(this, f, sch, failed, u, len, down, &window, &wg, &error,
-            &first_error));
-    }
-    co_await wg.wait();
-    if (error) co_return first_error;
-  }
-
-  // 2. Coding fragments whose placement lands on the failed server: same
-  //    decode machinery, targeting fragment k+j instead of a data fragment.
-  {
-    constexpr std::uint32_t kWindow = 16;
-    sim::Semaphore window(client_->cluster().sim(), kWindow);
-    sim::WaitGroup wg(client_->cluster().sim());
-    bool error = false;
-    Error first_error;
-    const std::uint64_t ngroups =
-        div_ceil(file_size, layout.rs_group_width(k));
-    for (std::uint64_t g = 0; g < ngroups; ++g) {
-      for (std::uint32_t j = 0; j < m; ++j) {
-        if (layout.rs_coding_server(g, k, j) != failed) continue;
-        if (opt.delta &&
-            !opt.delta->intersects(
-                layout.rs_group_start(g, k),
-                std::min(layout.rs_group_end(g, k), file_size))) {
-          continue;
-        }
-        if (opt.throttle) {
-          co_await opt.throttle->take(std::uint64_t{k + 1} * su);
-        }
-        co_await window.acquire();
-        wg.add();
-        client_->cluster().sim().spawn(
-            [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
-               std::uint32_t fsrv, std::uint64_t group, std::uint32_t frag,
-               std::vector<std::uint32_t> down, sim::Semaphore* sem,
-               sim::WaitGroup* done, bool* err,
-               Error* ferr) -> sim::Task<void> {
-              const StripeLayout& lay = file.layout;
-              auto piece = co_await self->reconstruct_rs(
-                  file, scheme, group, frag, 0, lay.su(), down,
-                  /*for_rebuild=*/true);
-              if (!piece.ok()) {
-                if (!*err) *ferr = piece.error();
-                *err = true;
-              } else {
-                Request w;
-                w.op = Op::write_red;
-                w.handle = file.handle;
-                w.off = lay.rs_coding_local_off(group);
-                w.payload = std::move(piece.value());
-                w.su = lay.stripe_unit;
-                w.red_gen = self->red_gen_of(file);
-                auto wr = co_await self->client_->rpc(fsrv, std::move(w));
-                if (!wr.ok) {
-                  if (!*err) *ferr = Error{wr.err, "rs rebuild coding write"};
-                  *err = true;
-                }
-              }
-              sem->release();
-              done->done();
-            }(this, f, sch, failed, g, k + j, down, &window, &wg, &error,
-              &first_error));
-      }
-    }
-    co_await wg.wait();
-    if (error) co_return first_error;
-  }
-  co_return Result<void>::success();
-}
-
 sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                                                    Scheme to,
                                                    std::uint32_t red_gen,
@@ -1667,88 +1093,78 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
             done->done();
           }(this, f, u, len, red_gen, &window, &wg, &error, &first_error));
     }
-  } else if (to.kind == SchemeKind::rs) {
-    // rs(k,m) target: per group, read the k raw data units and write the m
-    // coding fragments into the generation-`red_gen` redundancy files of
-    // their placement servers. Overflow stays excluded, exactly like the
-    // parity branch.
-    const CodeSpec spec = to.code(layout);
-    if (spec.fragments() > n) {
+  } else {
+    // Group-code target (RAID5 variants, Hybrid, rs(k,m)): per group, read
+    // the k raw data units and write the m coding fragments into the
+    // generation-`red_gen` redundancy files of their placement servers —
+    // partial-write overflow deliberately excluded, so the new coding is
+    // consistent with the data files just like Hybrid's.
+    const GroupCode gc = *group_code(to, layout);
+    if (gc.spec.fragments() > n) {
       co_return Error{Errc::invalid_argument,
-                      "rs placement needs k+m <= N servers"};
+                      "group code needs k+m <= N servers"};
     }
-    const std::uint64_t ngroups =
-        div_ceil(file_size, layout.rs_group_width(spec.k));
+    const std::uint64_t ngroups = div_ceil(file_size, gc.width());
     for (std::uint64_t g = 0; g < ngroups; ++g) {
-      if (delta && !delta->intersects(
-                       layout.rs_group_start(g, spec.k),
-                       std::min(layout.rs_group_end(g, spec.k), file_size))) {
+      if (delta && !delta->intersects(gc.group_start(g),
+                                      std::min(gc.group_end(g), file_size))) {
         continue;
       }
       if (throttle) {
-        co_await throttle->take(std::uint64_t{spec.fragments()} * su);
+        co_await throttle->take(std::uint64_t{gc.spec.fragments()} * su);
       }
       co_await window.acquire();
       wg.add();
       client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, Scheme scheme,
+          [](Recovery* self, pvfs::OpenFile file, GroupCode code,
              std::uint64_t group, std::uint32_t gen, sim::Semaphore* sem,
              sim::WaitGroup* done, bool* err, Error* ferr) -> sim::Task<void> {
             const StripeLayout& lay = file.layout;
-            const CodeSpec sp = scheme.code(lay);
             const std::uint64_t unit_sz = lay.su();
             std::vector<std::pair<std::uint32_t, Request>> reads;
-            for (std::uint32_t i = 0; i < sp.k; ++i) {
+            for (std::uint32_t i = 0; i < code.k(); ++i) {
               Request r;
               r.op = Op::read_data_raw;
               r.handle = file.handle;
-              r.off = lay.local_unit(group * sp.k + i) * unit_sz;
+              r.off = lay.local_unit(group * code.k() + i) * unit_sz;
               r.len = unit_sz;
-              reads.emplace_back(lay.rs_data_server(group, sp.k, i),
-                                 std::move(r));
+              reads.emplace_back(code.fragment_server(group, i), std::move(r));
             }
             auto resps = co_await self->client_->rpc_all(std::move(reads));
             bool bad = false;
-            bool mat = true;
-            for (const auto& resp : resps) {
+            std::vector<Buffer> units;
+            units.reserve(resps.size());
+            for (auto& resp : resps) {
               if (!resp.ok) {
-                if (!*err) *ferr = Error{resp.err, "migrate rs read"};
+                if (!*err) *ferr = Error{resp.err, "migrate read"};
                 *err = true;
                 bad = true;
                 break;
               }
-              if (!resp.data.materialized()) mat = false;
+              units.push_back(std::move(resp.data));
             }
             if (!bad) {
               std::vector<std::pair<std::uint32_t, Request>> writes;
-              for (std::uint32_t j = 0; j < sp.m; ++j) {
-                Buffer coding =
-                    mat ? Buffer::real(unit_sz) : Buffer::phantom(unit_sz);
-                if (mat) {
-                  auto dst = coding.mutable_bytes();
-                  for (std::uint32_t i = 0; i < sp.k; ++i) {
-                    gf_muladd_region(dst, resps[i].data.bytes(),
-                                     rs_coeff(sp, j, i));
-                  }
-                }
+              for (std::uint32_t j = 0; j < code.m(); ++j) {
                 Request w;
                 w.op = Op::write_red;
                 w.handle = file.handle;
-                w.off = lay.rs_coding_local_off(group);
-                w.payload = std::move(coding);
+                w.off = code.coding_off(group);
+                w.payload = code.encode(j, units);
                 w.su = lay.stripe_unit;
                 w.red_gen = gen;
-                writes.emplace_back(lay.rs_coding_server(group, sp.k, j),
+                writes.emplace_back(code.coding_server(group, j),
                                     std::move(w));
               }
-              if (self->policy_ != nullptr) {
-                self->policy_->note_ec_encode(std::uint64_t{sp.k} * unit_sz *
-                                              sp.m);
+              // (e) Only rs feeds the erasure-coding statistics.
+              if (code.rs && self->policy_ != nullptr) {
+                self->policy_->note_ec_encode(std::uint64_t{code.k()} *
+                                              unit_sz * code.m());
               }
-              auto wrs = co_await self->client_->rpc_all(std::move(writes));
+              auto wrs = co_await self->coding_rpcs(code, std::move(writes));
               for (const auto& wr : wrs) {
                 if (!wr.ok) {
-                  if (!*err) *ferr = Error{wr.err, "migrate rs coding write"};
+                  if (!*err) *ferr = Error{wr.err, "migrate coding write"};
                   *err = true;
                   break;
                 }
@@ -1756,72 +1172,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
             }
             sem->release();
             done->done();
-          }(this, f, to, g, red_gen, &window, &wg, &error, &first_error));
-    }
-  } else {
-    // Parity target (RAID5 variants / Hybrid): fresh parity per group from
-    // the raw data units — partial-write overflow deliberately excluded, so
-    // the new parity is consistent with the data files just like Hybrid's.
-    const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
-    for (std::uint64_t g = 0; g < ngroups; ++g) {
-      if (delta && !delta->intersects(layout.group_start(g),
-                                      std::min(layout.group_end(g),
-                                               file_size))) {
-        continue;
-      }
-      if (throttle) co_await throttle->take(std::uint64_t{n} * su);
-      co_await window.acquire();
-      wg.add();
-      client_->cluster().sim().spawn(
-          [](Recovery* self, pvfs::OpenFile file, std::uint64_t group,
-             std::uint32_t gen, sim::Semaphore* sem, sim::WaitGroup* done,
-             bool* err, Error* ferr) -> sim::Task<void> {
-            const StripeLayout& lay = file.layout;
-            const std::uint64_t unit_sz = lay.su();
-            std::vector<std::pair<std::uint32_t, Request>> reads;
-            for (std::uint64_t u = group * (lay.n() - 1);
-                 u < (group + 1) * (lay.n() - 1); ++u) {
-              Request r;
-              r.op = Op::read_data_raw;
-              r.handle = file.handle;
-              r.off = lay.local_unit(u) * unit_sz;
-              r.len = unit_sz;
-              reads.emplace_back(lay.server_of_unit(u), std::move(r));
-            }
-            auto resps = co_await self->client_->rpc_all(std::move(reads));
-            Buffer parity = Buffer::real(unit_sz);
-            bool bad = false;
-            for (auto& resp : resps) {
-              if (!resp.ok) {
-                if (!*err) *ferr = Error{resp.err, "migrate parity read"};
-                *err = true;
-                bad = true;
-                break;
-              }
-              if (parity.materialized() && resp.data.materialized()) {
-                parity.xor_with(resp.data);
-              } else {
-                parity = Buffer::phantom(unit_sz);
-              }
-            }
-            if (!bad) {
-              Request w;
-              w.op = Op::write_red;
-              w.handle = file.handle;
-              w.off = lay.parity_local_off(group);
-              w.payload = std::move(parity);
-              w.su = lay.stripe_unit;
-              w.red_gen = gen;
-              auto wr = co_await self->client_->rpc(lay.parity_server(group),
-                                                    std::move(w));
-              if (!wr.ok) {
-                if (!*err) *ferr = Error{wr.err, "migrate parity write"};
-                *err = true;
-              }
-            }
-            sem->release();
-            done->done();
-          }(this, f, g, red_gen, &window, &wg, &error, &first_error));
+          }(this, f, gc, g, red_gen, &window, &wg, &error, &first_error));
     }
   }
   co_await wg.wait();

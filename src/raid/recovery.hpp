@@ -1,17 +1,20 @@
-// Recovery: degraded reads and server reconstruction after a single I/O
-// server failure — the fault-tolerance the redundancy schemes exist for
-// (the paper's stated long-term objective, §1).
+// Recovery: degraded reads and writes while servers are down, and server
+// reconstruction after a failure — the fault tolerance the redundancy
+// schemes exist for (the paper's stated long-term objective, §1).
 //
-//  RAID1   a failed server's data is served from (and rebuilt out of) the
-//          mirror blocks on its successor's redundancy file.
-//  RAID5   a lost data unit is the XOR of its group's surviving N-2 data
-//          units and the group's parity unit.
-//  Hybrid  RAID5 reconstruction yields the *base* stripe content (parity is
-//          computed only against the data files, which partial writes never
-//          touch); the newest partial-stripe data is then overlaid from the
-//          mirrored overflow copies on the failed server's successor. This
-//          is exactly why the Hybrid scheme must write partial stripes to
-//          overflow instead of updating blocks in place.
+//  RAID1        a failed server's data is served from (and rebuilt out of)
+//               the mirror blocks on its successor's redundancy file.
+//  Group codes  RAID4/RAID5 (k = N-1, m = 1) and rs(k,m) share one engine,
+//               driven by GroupCode: a lost fragment is decoded from k live
+//               fragments of its group (for m = 1, the XOR of the surviving
+//               data units and the parity unit).
+//  Hybrid       group-code reconstruction yields the *base* stripe content
+//               (parity is computed only against the data files, which
+//               partial writes never touch); the newest partial-stripe data
+//               is then overlaid from the mirrored overflow copies on the
+//               failed server's successor. This is exactly why the Hybrid
+//               scheme must write partial stripes to overflow instead of
+//               updating blocks in place.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +49,11 @@ struct RebuildOptions {
   /// e.g. lost dirty pages under the overflow file).
   bool restore_all_overflow = false;
   /// Other servers that are *also* unavailable while this one rebuilds
-  /// (concurrent outages). rs(k,m) files decode around them — any k live
-  /// fragments suffice; the classic single-redundancy schemes ignore the
-  /// list (their survivor reads fail loudly if one is actually needed).
+  /// (concurrent outages). Group codes with m >= 2 coding fragments decode
+  /// around them — any k live fragments suffice. With m = 1 (and for RAID1)
+  /// the list is ignored: there is no second fragment to route around, and
+  /// if the monitor's view is stale, trying the reads is the only way to
+  /// succeed (they fail loudly if a needed server really is down).
   std::vector<std::uint32_t> also_down;
 };
 
@@ -67,35 +72,34 @@ class Recovery {
 
   /// Read [off, off+len) of `f` while server `failed` is down; data on
   /// surviving servers is read normally, lost pieces are reconstructed.
+  /// The one-victim form of the overload below.
   sim::Task<Result<Buffer>> degraded_read(const pvfs::OpenFile& f,
                                           std::uint64_t off,
                                           std::uint64_t len,
                                           std::uint32_t failed);
 
   /// Multi-failure degraded read: `failed` lists every server currently
-  /// down (ascending, at least one). rs(k,m) files tolerate up to m
+  /// down (ascending, at least one). Group codes tolerate up to m
   /// concurrent victims — each lost piece is decoded client-side from the
-  /// minimal k-subset of live fragments; the classic schemes delegate to
-  /// the single-failure path when exactly one server is down and error
-  /// beyond their single-redundancy budget.
+  /// minimal k-subset of live fragments; RAID0/RAID1 accept one victim.
   sim::Task<Result<Buffer>> degraded_read(const pvfs::OpenFile& f,
                                           std::uint64_t off, std::uint64_t len,
                                           std::vector<std::uint32_t> failed);
 
   /// Write [off, off+data.size()) of `f` while server `failed` is down —
-  /// continued operation in degraded mode. Redundancy is maintained so the
-  /// write survives: RAID1 updates whichever of the two copies is alive;
-  /// RAID5 records writes to lost units *in the parity* (reconstruct-write)
-  /// and skips parity updates for groups whose parity server is down (the
-  /// rebuild recomputes those); Hybrid routes partial-stripe copies to
-  /// whichever of the owner/successor pair survives.
+  /// continued operation in degraded mode (the one-victim form of the
+  /// overload below).
   sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
                                          std::uint64_t off, Buffer data,
                                          std::uint32_t failed);
 
-  /// Multi-failure degraded write (see the degraded_read overload): rs
-  /// files keep all live coding fragments consistent as long as at most m
-  /// servers are down; classic schemes accept exactly one victim.
+  /// Multi-failure degraded write. Redundancy is maintained so the write
+  /// survives: RAID1 updates whichever of the two copies is alive; group
+  /// codes record writes to lost units *in the coding* (reconstruct-write),
+  /// keep every live coding fragment consistent while at most m servers
+  /// are down, and skip groups whose coding servers are all down (the
+  /// rebuild recomputes those); Hybrid routes partial-stripe copies to
+  /// whichever of the owner/successor pair survives.
   sim::Task<Result<void>> degraded_write(const pvfs::OpenFile& f,
                                          std::uint64_t off, Buffer data,
                                          std::vector<std::uint32_t> failed);
@@ -140,48 +144,34 @@ class Recovery {
                               : fixed_ == Scheme::hybrid;
   }
 
-  /// Reconstruct the bytes of one lost piece (within a single stripe unit
-  /// of the failed server), including the Hybrid overflow overlay.
-  sim::Task<Result<Buffer>> reconstruct_piece(const pvfs::OpenFile& f,
-                                              std::uint32_t failed,
-                                              std::uint64_t global_off,
-                                              std::uint64_t len);
+  /// Concurrent failures the file's scheme survives: m for group codes,
+  /// one for RAID0/RAID1 (RAID0 still fails on any lost piece).
+  std::uint32_t failure_budget(const pvfs::OpenFile& f) const;
 
-  /// RAID5/Hybrid base reconstruction: XOR of survivors + parity, without
-  /// the overflow overlay.
-  sim::Task<Result<Buffer>> reconstruct_base(const pvfs::OpenFile& f,
-                                             std::uint32_t failed,
-                                             std::uint64_t global_off,
-                                             std::uint64_t len);
+  /// Requests to the coding servers of one group: with one coding fragment
+  /// the single request goes by rpc, with several by one rpc_all.
+  sim::Task<std::vector<pvfs::Response>> coding_rpcs(
+      const GroupCode& gc,
+      std::vector<std::pair<std::uint32_t, pvfs::Request>> reqs);
 
-  /// rs(k,m): rebuild fragment `target` (data fragments [0,k), coding
-  /// fragments [k,k+m)) of group `g` over unit columns [c0, c0+len) by
-  /// fetching exactly k live fragments — data fragments first, then coding,
-  /// both ascending, skipping every server in `down` — and combining them
-  /// with rs_reconstruct_coeffs. Errors if fewer than k fragments are live.
-  sim::Task<Result<Buffer>> reconstruct_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t g,
-      std::uint32_t target, std::uint64_t c0, std::uint64_t len,
-      const std::vector<std::uint32_t>& down, bool for_rebuild);
+  /// Rebuild fragment `target` (data fragments [0,k), coding fragments
+  /// [k,k+m)) of group `g` over unit columns [c0, c0+len) by fetching
+  /// exactly k live fragments, skipping every server in `down`, and
+  /// combining them with rs_reconstruct_coeffs. Errors if fewer than k
+  /// fragments are live. No overflow overlay.
+  sim::Task<Result<Buffer>> reconstruct(const pvfs::OpenFile& f,
+                                        const GroupCode& gc, std::uint64_t g,
+                                        std::uint32_t target, std::uint64_t c0,
+                                        std::uint64_t len,
+                                        const std::vector<std::uint32_t>& down,
+                                        bool for_rebuild);
 
-  /// reconstruct_rs for the lost *data* piece at `global_off`, plus the
-  /// overflow overlay an ex-Hybrid rs file still carries.
-  sim::Task<Result<Buffer>> reconstruct_rs_piece(
-      const pvfs::OpenFile& f, Scheme sch,
-      const std::vector<std::uint32_t>& down, std::uint64_t global_off,
-      std::uint64_t len);
-
-  /// The rs branches of degraded_read / degraded_write / rebuild_server.
-  sim::Task<Result<Buffer>> degraded_read_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t off,
-      std::uint64_t len, std::vector<std::uint32_t> failed);
-  sim::Task<Result<void>> degraded_write_rs(
-      const pvfs::OpenFile& f, Scheme sch, std::uint64_t off, Buffer data,
-      std::vector<std::uint32_t> failed);
-  sim::Task<Result<void>> rebuild_server_rs(const pvfs::OpenFile& f,
-                                            Scheme sch, std::uint32_t failed,
-                                            std::uint64_t file_size,
-                                            const RebuildOptions& opt);
+  /// The bytes of one lost piece (within a single stripe unit of a down
+  /// server): RAID1's mirror or a group-code reconstruct, then the overflow
+  /// overlay of a Hybrid or ex-Hybrid file.
+  sim::Task<Result<Buffer>> reconstruct_piece(
+      const pvfs::OpenFile& f, const std::vector<std::uint32_t>& down,
+      std::uint64_t global_off, std::uint64_t len);
 
   pvfs::Client* client_;
   const RedundancyPolicy* policy_ = nullptr;

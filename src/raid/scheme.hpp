@@ -1,12 +1,14 @@
 // Redundancy schemes studied in the paper (§4) plus the two ablations used
 // in its evaluation (§5.1, §6.2), generalized to k+m erasure codes.
 //
-// A Scheme is now a small value type: a kind plus, for Reed-Solomon, the
-// CodeSpec parameters (k data + m coding fragments per group). The classic
-// schemes are special cases of the code — RAID1 ≈ RS(1,1), RAID4/5 ≈
-// RS(k,1) with fixed/rotated placement — but keep their dedicated kinds
-// (and I/O paths) so the paper's original experiments stay byte-identical.
-// `Scheme::raid5`-style spellings keep working via inline static constants.
+// A Scheme is a small value type: a kind plus, for Reed-Solomon, the
+// CodeSpec parameters (k data + m coding fragments per group). RAID4, the
+// RAID5 variants, Hybrid's full-stripe path and rs(k,m) all run on one
+// group-code engine, driven by the GroupCode descriptor that group_code()
+// builds; the classic kinds keep their names, tags and geometry so the
+// paper's original experiments stay byte-identical. RAID0 and RAID1 have
+// no group code. `Scheme::raid5`-style spellings keep working via inline
+// static constants.
 #pragma once
 
 #include <cassert>
@@ -14,10 +16,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/codec.hpp"
 #include "pvfs/layout.hpp"
 
@@ -126,8 +131,7 @@ inline std::string scheme_name(Scheme s) {
 
 /// True for the schemes that store block parity (RAID4, all RAID5 variants
 /// and the Hybrid full-stripe path). rs is *not* in this set: its coding
-/// units live in the redundancy file too, but at rs-specific offsets, and
-/// every rs path resolves geometry through the rs_* layout helpers.
+/// units live at rs-specific offsets (see GroupCode).
 inline bool uses_parity(Scheme s) {
   switch (s.kind) {
     case SchemeKind::raid0:
@@ -142,12 +146,6 @@ inline bool uses_parity(Scheme s) {
       return true;
   }
   std::abort();
-}
-
-/// True when the scheme stores redundancy in the per-server redundancy
-/// files keyed by group (parity schemes and rs alike).
-inline bool uses_group_coding(Scheme s) {
-  return uses_parity(s) || s.kind == SchemeKind::rs;
 }
 
 /// The parity placement a scheme's files should be created with. rs keeps
@@ -165,6 +163,131 @@ inline pvfs::ParityPlacement placement_for(Scheme s) {
     case SchemeKind::hybrid:
     case SchemeKind::rs:
       return pvfs::ParityPlacement::rotating;
+  }
+  std::abort();
+}
+
+/// A scheme's group code: the one descriptor the parity engine (coded
+/// writes, reconstruction, degraded reads and writes, rebuild, migration)
+/// runs on. Every group-coded scheme is a k+m code over groups of k
+/// consecutive stripe units: RAID4, the RAID5 variants and Hybrid's full
+/// stripes are the m = 1 case with k = N-1 (coding row 0 is all ones, so
+/// their coding fragment is the XOR parity); rs(k,m) is the general one.
+///
+/// `rs` selects the rs(k,m) coding geometry and output conventions. Each
+/// read of it preserves one output difference between the classic parity
+/// path and rs(k,1), named (a)-(e) in DESIGN.md "Group-code engine":
+///  (a) coding slots: dense parity slots vs one slot per group;
+///  (b) full-group coding writes: merged per server vs one per (g, j);
+///  (c) decode read order: coding fragment first vs data fragments first;
+///  (d) coding-fragment rebuild: uncharged XOR vs a charged decode;
+///  (e) EcStats: only rs notes encode/decode bytes.
+struct GroupCode {
+  CodeSpec spec;
+  pvfs::StripeLayout layout;
+  bool rs = false;
+  /// RMW takes the coding-block locks (false only for R5 NO LOCK, Fig. 3).
+  bool lock = true;
+  /// Coding computation is charged to the client CPU (false only for
+  /// RAID5-npc, Fig. 4a).
+  bool charge = true;
+
+  std::uint32_t k() const { return spec.k; }
+  std::uint32_t m() const { return spec.m; }
+  /// Bytes of data per group: k stripe units.
+  std::uint64_t width() const { return std::uint64_t{spec.k} * layout.su(); }
+  std::uint64_t group_of_unit(std::uint64_t u) const { return u / spec.k; }
+  std::uint64_t group_of_off(std::uint64_t off) const {
+    return group_of_unit(layout.unit_of(off));
+  }
+  std::uint64_t group_start(std::uint64_t g) const { return g * width(); }
+  std::uint64_t group_end(std::uint64_t g) const { return (g + 1) * width(); }
+
+  /// Server holding coding fragment j of group g.
+  std::uint32_t coding_server(std::uint64_t g, std::uint32_t j) const {
+    // (a) rs places fragment j after the group's data; the classic parity
+    // server (which also covers RAID4's fixed placement) coincides with it
+    // for k = N-1.
+    return rs ? layout.rs_coding_server(g, spec.k, j) : layout.parity_server(g);
+  }
+  /// Server-local byte offset of group g's coding slot in the holder's
+  /// redundancy file (the same for every j: fragments of one group sit on
+  /// distinct servers).
+  std::uint64_t coding_off(std::uint64_t g) const {
+    // (a) rs: one slot per group; classic: dense parity slots.
+    return rs ? layout.rs_coding_local_off(g) : layout.parity_local_off(g);
+  }
+  /// Server holding fragment `frag` (data [0, k), coding [k, k+m)) of g.
+  std::uint32_t fragment_server(std::uint64_t g, std::uint32_t frag) const {
+    return frag < spec.k ? layout.server_of_unit(g * spec.k + frag)
+                         : coding_server(g, frag - spec.k);
+  }
+  /// Whether server `s` holds a coding fragment of group g.
+  bool holds_coding(std::uint64_t g, std::uint32_t s) const {
+    for (std::uint32_t j = 0; j < spec.m; ++j) {
+      if (coding_server(g, j) == s) return true;
+    }
+    return false;
+  }
+  /// The groups [lo, hi) whose coding slot may be redundancy-file unit q
+  /// of some server (filter with holds_coding and coding_off).
+  std::pair<std::uint64_t, std::uint64_t> slot_groups(std::uint64_t q) const {
+    // (a) rs and fixed parity: slot q is group q; rotating parity: every
+    // N-th group per server.
+    if (rs || layout.placement == pvfs::ParityPlacement::fixed) {
+      return {q, q + 1};
+    }
+    return {q * layout.n(), (q + 1) * layout.n()};
+  }
+
+  /// Coding fragment j over the group's k data `units` (in order; phantom
+  /// if any is). Row 0 is all ones, so it starts from a view of the first
+  /// unit and XORs the rest, with no zero-filled accumulator; other rows
+  /// accumulate GF-scaled units.
+  Buffer encode(std::uint32_t j, std::span<const Buffer> units) const {
+    const std::uint64_t su = layout.su();
+    for (const Buffer& u : units) {
+      if (!u.materialized()) return Buffer::phantom(su);
+    }
+    if (j == 0) {
+      Buffer coding = units[0];
+      for (std::size_t i = 1; i < units.size(); ++i) {
+        coding.xor_with(units[i]);
+      }
+      return coding;
+    }
+    Buffer coding = Buffer::real(su);
+    for (std::uint32_t i = 0; i < spec.k; ++i) {
+      gf_muladd_region(coding.mutable_bytes(), units[i].bytes(),
+                       rs_coeff(spec, j, i));
+    }
+    return coding;
+  }
+};
+
+/// The group code of `s` on `layout`; nullopt for RAID0 and RAID1, which
+/// have none. With the write dispatch, this is the only parity code that
+/// looks at the scheme kind.
+inline std::optional<GroupCode> group_code(Scheme s,
+                                           const pvfs::StripeLayout& layout) {
+  GroupCode gc{s.code(layout), layout};
+  switch (s.kind) {
+    case SchemeKind::raid0:
+    case SchemeKind::raid1:
+      return std::nullopt;
+    case SchemeKind::raid4:
+    case SchemeKind::raid5:
+    case SchemeKind::hybrid:
+      return gc;
+    case SchemeKind::raid5_nolock:
+      gc.lock = false;
+      return gc;
+    case SchemeKind::raid5_npc:
+      gc.charge = false;
+      return gc;
+    case SchemeKind::rs:
+      gc.rs = true;
+      return gc;
   }
   std::abort();
 }

@@ -207,6 +207,89 @@ TEST(Rebuild, Raid1) { rebuild_roundtrip(Scheme::raid1, 21); }
 TEST(Rebuild, Raid5) { rebuild_roundtrip(Scheme::raid5, 22); }
 TEST(Rebuild, Hybrid) { rebuild_roundtrip(Scheme::hybrid, 23); }
 
+// PVFS's `base` shifts which units a server holds: every rebuild pass must
+// start at the victim's own first unit, not at unit `victim`.
+TEST(Rebuild, NonzeroBase) {
+  for (Scheme scheme : {Scheme::raid1, Scheme::raid4, Scheme::raid5,
+                        Scheme::hybrid, Scheme::rs(4, 2)}) {
+    Rig rig(rig_params(scheme, 6));
+    run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+      pvfs::StripeLayout layout = r.layout(kSu);
+      layout.base = 3;
+      auto f = co_await r.client_fs().create("based", layout);
+      CO_ASSERT_TRUE(f.ok());
+      const std::uint64_t w = f->layout.stripe_width();
+      RefFile ref;
+      Rng rng(71);
+      for (int i = 0; i < 20; ++i) {
+        const std::uint64_t off = rng.below(4 * w);
+        const std::uint64_t len = 1 + rng.below(2 * w);
+        Buffer data = Buffer::pattern(len, rng.next());
+        ref.write(off, data);
+        auto wr = co_await r.client_fs().write(*f, off, std::move(data));
+        CO_ASSERT_TRUE(wr.ok());
+      }
+      const std::uint32_t victim = 1;
+      r.server(victim).fail();
+      r.server(victim).wipe();
+      r.server(victim).recover();
+      Recovery rec = r.recovery();
+      auto rb = co_await rec.rebuild_server(*f, victim, ref.size());
+      CO_ASSERT_TRUE(rb.ok());
+      auto rd = co_await r.client_fs().read(*f, 0, ref.size());
+      CO_ASSERT_TRUE(rd.ok());
+      EXPECT_EQ(*rd, ref.expect(0, ref.size())) << scheme_name(r.p.scheme);
+      // The rebuilt redundancy carries the loss of every other server.
+      for (std::uint32_t other = 0; other < r.p.nservers; ++other) {
+        if (other == victim) continue;
+        r.server(other).fail();
+        auto drd = co_await rec.degraded_read(*f, 0, ref.size(), other);
+        CO_ASSERT_TRUE(drd.ok());
+        EXPECT_EQ(*drd, ref.expect(0, ref.size()))
+            << scheme_name(r.p.scheme) << " second victim " << other;
+        r.server(other).recover();
+      }
+    }(rig));
+  }
+}
+
+TEST(Rebuild, Raid1DeltaNonzeroBase) {
+  // With base 3 on 5 servers, unit 3 lives on server 1. A degraded write
+  // to it while server 1 is down leaves server 1's copy stale; a delta
+  // rebuild over exactly that unit must bring it back.
+  Rig rig(rig_params(Scheme::raid1));
+  run_sim_void(rig, [](Rig& r) -> sim::Task<void> {
+    pvfs::StripeLayout layout = r.layout(kSu);
+    layout.base = 3;
+    auto f = co_await r.client_fs().create("based", layout);
+    CO_ASSERT_TRUE(f.ok());
+    RefFile ref;
+    Buffer data = Buffer::pattern(20 * kSu, 5);
+    ref.write(0, data);
+    auto wr = co_await r.client_fs().write(*f, 0, std::move(data));
+    CO_ASSERT_TRUE(wr.ok());
+    const std::uint32_t victim = 1;
+    CO_ASSERT_EQ(f->layout.server_of_unit(3), victim);
+    r.server(victim).fail();
+    Recovery rec = r.recovery();
+    Buffer update = Buffer::pattern(kSu, 6);
+    ref.write(3 * kSu, update);
+    auto dw = co_await rec.degraded_write(*f, 3 * kSu, std::move(update),
+                                          victim);
+    CO_ASSERT_TRUE(dw.ok());
+    r.server(victim).recover();
+    IntervalSet delta;
+    delta.insert(3 * kSu, 4 * kSu);
+    RebuildOptions opt;
+    opt.delta = &delta;
+    auto rb = co_await rec.rebuild_server(*f, victim, ref.size(), opt);
+    CO_ASSERT_TRUE(rb.ok());
+    auto rd = co_await r.client_fs().read(*f, 0, ref.size());
+    CO_ASSERT_TRUE(rd.ok());
+    EXPECT_EQ(*rd, ref.expect(0, ref.size()));
+  }(rig));
+}
+
 // Property sweep: random write traces with failure injected at a random
 // point; degraded reads must match the reference at every failure point.
 class RecoveryProperty
