@@ -9,7 +9,10 @@
 #     (obs_overhead); A7 (rebuild) is compared up to its exit code too;
 #   - the SIM lines of bench_sim_scale --quick (its PERF lines are host time);
 #   - every examples/* program (csar_shell with empty input);
-#   - fault_storm default, --fleet and an rs-heavy --schemes list.
+#   - fault_storm default, --fleet and an rs-heavy --schemes list;
+#   - the repository benchmark's (perfbench/) simulated outcome: the
+#     `RUN rep1` line of small_hybrid and parity_rmw at seed 1, one second,
+#     untraced, with its host-timed setup_s=/run_s= fields stripped.
 # Prints SAME/DIFF per surface and exits 1 if any differ. Work files live in
 # a temporary directory that is removed on exit.
 set -euo pipefail
@@ -55,9 +58,17 @@ build() {  # build <src-dir> <build-dir>: every bench and example it has
   cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$2" -j"$jobs" --target "${targets[@]}" >/dev/null
 }
+build_perfbench() {  # build_perfbench <src-dir> <build-dir>, if it has one
+  [[ -f "$1/perfbench/CMakeLists.txt" ]] || return 0
+  cmake -S "$1/perfbench" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$2" -j"$jobs" >/dev/null
+}
 echo "building $base_ref and the working tree (RelWithDebInfo)..."
 build "$work/base-src" "$work/base"
 build "$root" "$work/head"
+build_perfbench "$work/base-src" "$work/base/perfbench-build"
+build_perfbench "$root" "$work/head/perfbench-build"
+perfbench_workloads=(small_hybrid parity_rmw)
 
 # run <side> <label> <binary-relative-to-build> [args...]: stdout + exit code
 # into $work/out/<side>/<label>, run from a scratch cwd so stray output files
@@ -83,9 +94,17 @@ for side in base head; do
   run "$side" fault_storm_fleet examples/fault_storm --fleet
   run "$side" fault_storm_rs examples/fault_storm \
     '--schemes=rs(4,2),rs(6,3),raid1,rs(4,2)'
+  for w in "${perfbench_workloads[@]}"; do
+    run "$side" "perfbench_$w" perfbench-build/perfbench --workload "$w" \
+      --seed 1 --seconds 1 --trace 0
+    grep -E '^RUN rep1:|^exit=' "$work/out/$side/perfbench_$w" |
+      sed -E 's/ setup_s=[^ ]* run_s=[^ ]*//' \
+        >"$work/out/$side/perfbench_$w.run"
+  done
 done
 surfaces=("${benches[@]}" sim_scale_quick.sim "${examples[@]}"
           fault_storm_fleet fault_storm_rs)
+for w in "${perfbench_workloads[@]}"; do surfaces+=("perfbench_$w.run"); done
 
 status=0
 for s in "${surfaces[@]}"; do

@@ -267,9 +267,20 @@ void Buffer::xor_with(const Buffer& other) {
   }
   const std::uint64_t n = std::min(size_, other.size_);
   if (n == 0) return;
-  ensure_unique();
-  xor_words({data_.get() + off_, static_cast<std::size_t>(n)},
-            {other.data_.get() + other.off_, static_cast<std::size_t>(n)});
+  const std::span<const std::byte> src{other.data_.get() + other.off_,
+                                       static_cast<std::size_t>(n)};
+  if (data_.use_count() > 1) {
+    // Shared backing: write this ^ other into fresh backing in one pass
+    // rather than copying the view (ensure_unique) and then XORing it.
+    Buffer own = for_overwrite(size_);
+    xor_words({own.data_.get(), static_cast<std::size_t>(n)},
+              {data_.get() + off_, static_cast<std::size_t>(n)}, src);
+    std::memcpy(own.data_.get() + n, data_.get() + off_ + n,
+                static_cast<std::size_t>(size_ - n));
+    *this = std::move(own);
+    return;
+  }
+  xor_words({data_.get() + off_, static_cast<std::size_t>(n)}, src);
 }
 
 void Buffer::xor_at(std::uint64_t off, const Buffer& src) {

@@ -40,33 +40,40 @@ void xor_words_single(std::span<std::byte> dst,
 
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src) {
   assert(src.size() <= dst.size());
-  const std::size_t n = src.size();
+  xor_words(dst.first(src.size()), dst, src);
+}
+
+void xor_words(std::span<std::byte> dst, std::span<const std::byte> a,
+               std::span<const std::byte> b) {
+  assert(a.size() >= dst.size() && b.size() >= dst.size());
+  const std::size_t n = dst.size();
   std::size_t i = 0;
   constexpr std::size_t W = sizeof(std::uint64_t);
   // 32-byte blocks (4 independent words per iteration) measure fastest
   // here: wide enough to keep multiple XORs in flight, narrow enough that
   // GCC still vectorizes the block instead of spilling the local arrays.
+  // Each block loads both inputs before it stores, so dst == a is safe.
   constexpr std::size_t B = 4 * W;
   for (; i + B <= n; i += B) {
-    std::uint64_t a[4];
-    std::uint64_t b[4];
-    std::memcpy(a, dst.data() + i, B);
-    std::memcpy(b, src.data() + i, B);
-    a[0] ^= b[0];
-    a[1] ^= b[1];
-    a[2] ^= b[2];
-    a[3] ^= b[3];
-    std::memcpy(dst.data() + i, a, B);
+    std::uint64_t x[4];
+    std::uint64_t y[4];
+    std::memcpy(x, a.data() + i, B);
+    std::memcpy(y, b.data() + i, B);
+    x[0] ^= y[0];
+    x[1] ^= y[1];
+    x[2] ^= y[2];
+    x[3] ^= y[3];
+    std::memcpy(dst.data() + i, x, B);
   }
   for (; i + W <= n; i += W) {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, dst.data() + i, W);
-    std::memcpy(&b, src.data() + i, W);
-    a ^= b;
-    std::memcpy(dst.data() + i, &a, W);
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a.data() + i, W);
+    std::memcpy(&y, b.data() + i, W);
+    x ^= y;
+    std::memcpy(dst.data() + i, &x, W);
   }
-  for (; i < n; ++i) dst[i] ^= src[i];
+  for (; i < n; ++i) dst[i] = a[i] ^ b[i];
 }
 
 void xor_accumulate(std::span<std::byte> dst,

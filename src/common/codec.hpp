@@ -43,6 +43,13 @@ void xor_words_single(std::span<std::byte> dst, std::span<const std::byte> src);
 /// GCC lowers to plain loads on x86.
 void xor_words(std::span<std::byte> dst, std::span<const std::byte> src);
 
+/// dst[i] = a[i] ^ b[i] for i < dst.size(): the copy fused into the XOR,
+/// for a target that must not be written in place. The in-place form above
+/// is this kernel with a = dst. dst may equal a exactly (same data, no
+/// offset); a and b may alias each other.
+void xor_words(std::span<std::byte> dst, std::span<const std::byte> a,
+               std::span<const std::byte> b);
+
 /// Parity of `sources` accumulated into `dst` (dst must be zero-filled or
 /// hold the first source). Sources shorter than dst contribute only their
 /// prefix; this matches parity of zero-padded stripe units.

@@ -97,15 +97,22 @@ class IntervalMap {
   };
   std::vector<Query> query(std::uint64_t start, std::uint64_t end) const {
     std::vector<Query> out;
-    if (start >= end) return out;
+    for_each_overlap(start, end, [&](const Query& q) { out.push_back(q); });
+    return out;
+  }
+
+  /// query() without the vector: visit each clipped chunk of [start,end) in
+  /// order, f(const Query&). The map must not be mutated during the visit.
+  template <typename F>
+  void for_each_overlap(std::uint64_t start, std::uint64_t end, F&& f) const {
+    if (start >= end) return;
     std::size_t i = upper_idx(start);
     if (i > 0 && entries_[i - 1].end > start) --i;
     for (; i < entries_.size() && entries_[i].start < end; ++i) {
-      out.push_back({std::max(entries_[i].start, start),
-                     std::min(entries_[i].end, end), entries_[i].start,
-                     &entries_[i].value});
+      f(Query{std::max(entries_[i].start, start),
+              std::min(entries_[i].end, end), entries_[i].start,
+              &entries_[i].value});
     }
-    return out;
   }
 
   /// True iff any byte of [start, end) is mapped.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -234,7 +233,8 @@ sim::Task<Response> Client::rpc_attempts(
       if (obs::kEnabled && retry_ctr_ != nullptr) retry_ctr_->add(1);
       co_await sim.sleep(backoff_pause(policy, attempt));
     }
-    Request req = r;  // each attempt resends a fresh copy
+    // Each attempt resends a fresh copy; the last one needs none.
+    Request req = attempt < attempts ? Request(r) : std::move(r);
     ++rpc_stats_.sent;
     const auto d = co_await fabric_->transfer(node_, srv->node_id(),
                                               req.wire_bytes(), span.id());
@@ -266,7 +266,8 @@ sim::Task<Response> Client::rpc_attempts(
   if (obs::kEnabled && rpc_hist_ != nullptr) rpc_hist_->add(sim.now() - t0);
   // Every request copy (and with it the server's reference to ch) is gone
   // unless a straggler attempt is still queued or in flight; if so the
-  // channel is simply not pooled.
+  // channel is simply not pooled. (If the last attempt ran, r went with
+  // it, reference included.)
   r.reply.reset();
   recycle_reply_channel(std::move(ch));
   co_return resp;
@@ -314,11 +315,33 @@ sim::Task<std::vector<Response>> Client::rpc_batch(std::uint32_t s,
   co_return failed;
 }
 
+namespace {
+
+/// True when two redundancy-class requests share a destination: the only
+/// case in which rpc_all's coalescing puts more than one sub in an
+/// envelope. Only one redundancy request per server can go by without a
+/// repeat, so at most N+1 of them are checked against their predecessors.
+bool shares_envelope(
+    const std::vector<std::pair<std::uint32_t, Request>>& reqs) {
+  for (std::size_t i = 1; i < reqs.size(); ++i) {
+    if (!redundancy_request(reqs[i].second)) continue;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (reqs[j].first == reqs[i].first &&
+          redundancy_request(reqs[j].second)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 sim::Task<std::vector<Response>> Client::rpc_all(
     std::vector<std::pair<std::uint32_t, Request>> requests) {
   std::vector<Response> out(requests.size());
-  std::vector<sim::Task<void>> tasks;
-  if (batching_ && requests.size() > 1) {
+  auto& sim = cluster_->sim();
+  if (batching_ && shares_envelope(requests)) {
     // Coalesce same-destination *redundancy-class* requests into one
     // envelope per server: parity/mirror ops are small and per-message
     // header dominated, so sharing one transfer is pure win. The class is
@@ -335,67 +358,69 @@ sim::Task<std::vector<Response>> Client::rpc_all(
     // queued behind mirror payload in the same message.
     struct Group {
       std::uint32_t server;
+      bool redundancy;
       std::vector<Request> subs;
       std::vector<std::size_t> slots;
     };
-    std::map<std::uint32_t, std::size_t> index;
     std::vector<Group> groups;
+    groups.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      std::size_t gi;
-      if (redundancy_request(requests[i].second)) {
-        auto [it, fresh] = index.try_emplace(requests[i].first, groups.size());
-        if (fresh) groups.push_back({requests[i].first, {}, {}});
-        gi = it->second;
-      } else {
-        gi = groups.size();  // bulk: always its own message
-        groups.push_back({requests[i].first, {}, {}});
+      const std::uint32_t s = requests[i].first;
+      const bool red = redundancy_request(requests[i].second);
+      Group* g = nullptr;
+      if (red) {
+        for (auto& cand : groups) {
+          if (cand.redundancy && cand.server == s) {
+            g = &cand;
+            break;
+          }
+        }
       }
-      groups[gi].subs.push_back(std::move(requests[i].second));
-      groups[gi].slots.push_back(i);
+      if (g == nullptr) g = &groups.emplace_back(Group{s, red, {}, {}});
+      g->subs.push_back(std::move(requests[i].second));
+      g->slots.push_back(i);
     }
-    tasks.reserve(groups.size());
-    for (auto& g : groups) {
-      tasks.push_back(
-          [](Client* self, Group grp, std::vector<Response>* all)
-              -> sim::Task<void> {
-            auto resps =
-                co_await self->rpc_batch(grp.server, std::move(grp.subs));
-            for (std::size_t k = 0; k < grp.slots.size(); ++k) {
-              (*all)[grp.slots[k]] = std::move(resps[k]);
-            }
-          }(this, std::move(g), &out));
-    }
-    co_await sim::when_all(cluster_->sim(), std::move(tasks));
+    co_await sim::when_all(sim, groups.size(), [&](std::size_t gi) {
+      return [](Client* self, Group grp,
+                std::vector<Response>* all) -> sim::Task<void> {
+        auto resps = co_await self->rpc_batch(grp.server, std::move(grp.subs));
+        for (std::size_t k = 0; k < grp.slots.size(); ++k) {
+          (*all)[grp.slots[k]] = std::move(resps[k]);
+        }
+      }(this, std::move(groups[gi]), &out);
+    });
     co_return out;
   }
-  tasks.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back(
-        [](Client* self, std::uint32_t s, Request r,
-           Response* slot) -> sim::Task<void> {
-          *slot = co_await self->rpc(s, std::move(r));
-        }(this, requests[i].first, std::move(requests[i].second), &out[i]));
-  }
-  co_await sim::when_all(cluster_->sim(), std::move(tasks));
+  // Every envelope would hold one sub, and rpc_batch of one request is
+  // exactly rpc(): send each request as its own RPC.
+  co_await sim::when_all(sim, requests.size(), [&](std::size_t i) {
+    return [](Client* self, std::uint32_t s, Request r,
+              Response* slot) -> sim::Task<void> {
+      *slot = co_await self->rpc(s, std::move(r));
+    }(this, requests[i].first, std::move(requests[i].second), &out[i]);
+  });
   co_return out;
 }
 
 Buffer Client::gather_for_server(const StripeLayout& layout,
                                  std::uint64_t off, const Buffer& data,
-                                 std::uint32_t s) {
-  // Per-unit pieces of one server appear in increasing local (and global)
-  // order and tile the server's merged extent exactly.
-  const auto pieces = layout.decompose(off, data.size());
-  if (!data.materialized()) {
-    std::uint64_t total = 0;
-    for (const auto& e : pieces) {
-      if (e.server == s) total += e.len;
-    }
-    return Buffer::phantom(total);
+                                 const StripeLayout::Extent& e) {
+  // The server's pieces sit every data_servers()-th unit from e.global_off
+  // on, in increasing local (and global) order, and tile e exactly.
+  if (!data.materialized()) return Buffer::phantom(e.len);
+  const std::uint64_t su = layout.su();
+  if (e.len <= su - e.global_off % su) {
+    return data.slice(e.global_off - off, e.len);
   }
   std::vector<Buffer> parts;
-  for (const auto& e : pieces) {
-    if (e.server == s) parts.push_back(data.slice(e.global_off - off, e.len));
+  parts.reserve((e.global_off % su + e.len + su - 1) / su);
+  const std::uint64_t step = std::uint64_t{layout.data_servers()} * su;
+  std::uint64_t pos = e.global_off;
+  for (std::uint64_t left = e.len; left > 0;) {
+    const std::uint64_t n = std::min(left, su - pos % su);
+    parts.push_back(data.slice(pos - off, n));
+    left -= n;
+    pos = layout.unit_of(pos) * su + step;
   }
   return Buffer::concat(parts);
 }
@@ -404,13 +429,15 @@ sim::Task<Result<void>> Client::write_striped(const OpenFile& f,
                                               std::uint64_t off,
                                               const Buffer& data) {
   if (data.empty()) co_return Result<void>::success();
+  const auto merged = f.layout.decompose_merged(off, data.size());
   std::vector<std::pair<std::uint32_t, Request>> reqs;
-  for (const auto& e : f.layout.decompose_merged(off, data.size())) {
+  reqs.reserve(merged.size());
+  for (const auto& e : merged) {
     Request r;
     r.op = Op::write_data;
     r.handle = f.handle;
     r.off = e.local_off;
-    r.payload = gather_for_server(f.layout, off, data, e.server);
+    r.payload = gather_for_server(f.layout, off, data, e);
     r.su = f.layout.stripe_unit;
     reqs.emplace_back(e.server, std::move(r));
   }
@@ -426,6 +453,7 @@ sim::Task<Result<Buffer>> Client::read(const OpenFile& f, std::uint64_t off,
   if (len == 0) co_return Buffer::real(0);
   const auto merged = f.layout.decompose_merged(off, len);
   std::vector<std::pair<std::uint32_t, Request>> reqs;
+  reqs.reserve(merged.size());
   for (const auto& e : merged) {
     Request r;
     r.op = Op::read_data;

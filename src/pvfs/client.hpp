@@ -182,10 +182,11 @@ class Client {
   sim::Task<StorageInfo> storage(const OpenFile& f);
 
   /// Gather the bytes of `data` (placed at file offset `off`) that land on
-  /// server `s`, in server-local order — the payload of one merged write.
+  /// `e.server`, in server-local order — the payload of one merged write.
+  /// `e` is that server's extent from decompose_merged(off, data.size()).
   static Buffer gather_for_server(const StripeLayout& layout,
                                   std::uint64_t off, const Buffer& data,
-                                  std::uint32_t s);
+                                  const StripeLayout::Extent& e);
 
  private:
   sim::Task<MetaResponse> meta_rpc(MetaRequest r);

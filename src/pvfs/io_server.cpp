@@ -364,9 +364,9 @@ sim::Task<Response> IoServer::exec_one(const Request& r, bool prelocked,
     case Op::read_data_raw:
       return do_read_data_raw(r);
     case Op::read_mirror:
-      return do_read_mirror(r);
+      return do_read_overflow(r, true);
     case Op::read_own_overflow:
-      return do_read_own_overflow(r);
+      return do_read_overflow(r, false);
     case Op::compact_overflow:
       return do_compact_overflow(r);
     default:
@@ -607,10 +607,11 @@ sim::Task<Response> IoServer::do_read_data(const Request& r, obs::Ctx ctx) {
       std::uint64_t src;
     };
     std::vector<MergePiece> plan;
-    for (const auto& chunk : it->second.own.query(r.off, r.off + r.len)) {
-      plan.push_back({chunk.start, chunk.end,
-                      *chunk.value + (chunk.start - chunk.entry_start)});
-    }
+    it->second.own.for_each_overlap(
+        r.off, r.off + r.len, [&](const OverflowTable::Query& chunk) {
+          plan.push_back({chunk.start, chunk.end,
+                          *chunk.value + (chunk.start - chunk.entry_start)});
+        });
     for (const auto& mp : plan) {
       auto piece_out =
           co_await fs_.read_checked(ovfl_name(r.handle), mp.src,
@@ -721,7 +722,8 @@ sim::Task<Response> IoServer::do_write_overflow(const Request& r) {
   co_return Response{};
 }
 
-sim::Task<Response> IoServer::do_read_mirror(const Request& r) {
+sim::Task<Response> IoServer::do_read_overflow(const Request& r,
+                                               bool mirror) {
   Response resp;
   auto it = handles_.find(r.handle);
   if (it != handles_.end()) {
@@ -731,41 +733,12 @@ sim::Task<Response> IoServer::do_read_mirror(const Request& r) {
       std::uint64_t src;
     };
     std::vector<PlanPiece> plan;  // copied before awaiting (see read_data)
-    for (const auto& chunk : it->second.mirror.query(r.off, r.off + r.len)) {
-      plan.push_back({chunk.start, chunk.end,
-                      *chunk.value + (chunk.start - chunk.entry_start)});
-    }
-    for (const auto& pp : plan) {
-      OverflowPiece piece;
-      piece.local_off = pp.start;
-      auto out = co_await fs_.read_checked(ovfl_name(r.handle), pp.src,
-                                           pp.end - pp.start);
-      piece.data = std::move(out.data);
-      if (out.media_error) {
-        resp.ok = false;
-        resp.err = Errc::media_error;
-      }
-      resp.pieces.push_back(std::move(piece));
-    }
-  }
-  co_await pace(r, resp.wire_bytes());
-  co_return resp;
-}
-
-sim::Task<Response> IoServer::do_read_own_overflow(const Request& r) {
-  Response resp;
-  auto it = handles_.find(r.handle);
-  if (it != handles_.end()) {
-    struct PlanPiece {
-      std::uint64_t start;
-      std::uint64_t end;
-      std::uint64_t src;
-    };
-    std::vector<PlanPiece> plan;  // copied before awaiting (see read_data)
-    for (const auto& chunk : it->second.own.query(r.off, r.off + r.len)) {
-      plan.push_back({chunk.start, chunk.end,
-                      *chunk.value + (chunk.start - chunk.entry_start)});
-    }
+    const OverflowTable& table = mirror ? it->second.mirror : it->second.own;
+    table.for_each_overlap(
+        r.off, r.off + r.len, [&](const OverflowTable::Query& chunk) {
+          plan.push_back({chunk.start, chunk.end,
+                          *chunk.value + (chunk.start - chunk.entry_start)});
+        });
     for (const auto& pp : plan) {
       OverflowPiece piece;
       piece.local_off = pp.start;

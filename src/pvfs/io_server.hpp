@@ -289,8 +289,8 @@ class IoServer {
   sim::Task<Response> do_read_red(const Request& r, obs::Ctx ctx = {});
   sim::Task<Response> do_write_red(const Request& r, obs::Ctx ctx = {});
   sim::Task<Response> do_write_overflow(const Request& r);
-  sim::Task<Response> do_read_mirror(const Request& r);
-  sim::Task<Response> do_read_own_overflow(const Request& r);
+  /// read_mirror (the mirror table) or read_own_overflow (the own table).
+  sim::Task<Response> do_read_overflow(const Request& r, bool mirror);
   sim::Task<Response> do_compact_overflow(const Request& r);
 
   /// Per-connection ingest/egress pacing: one iod request stream moves at

@@ -7,7 +7,9 @@ namespace csar::pvfs {
 std::vector<StripeLayout::Extent> StripeLayout::decompose(
     std::uint64_t off, std::uint64_t len) const {
   std::vector<Extent> out;
+  if (len == 0) return out;
   const std::uint64_t end = off + len;
+  out.reserve(unit_of(end - 1) - unit_of(off) + 1);
   std::uint64_t pos = off;
   while (pos < end) {
     const std::uint64_t u = unit_of(pos);
@@ -21,23 +23,25 @@ std::vector<StripeLayout::Extent> StripeLayout::decompose(
 
 std::vector<StripeLayout::Extent> StripeLayout::decompose_merged(
     std::uint64_t off, std::uint64_t len) const {
+  std::vector<Extent> out;
+  if (len == 0) return out;
   // Per-unit pieces of one server tile a contiguous local range (interior
   // units of a contiguous global range are fully covered), so each server
-  // gets exactly one extent. global_off records the first global byte.
-  std::vector<Extent> per_server(nservers,
-                                 Extent{0, 0, 0, 0});
-  std::vector<bool> seen(nservers, false);
-  for (const Extent& e : decompose(off, len)) {
-    if (!seen[e.server]) {
-      per_server[e.server] = e;
-      seen[e.server] = true;
-    } else {
-      per_server[e.server].len += e.len;
-    }
-  }
-  std::vector<Extent> out;
-  for (std::uint32_t s = 0; s < nservers; ++s) {
-    if (seen[s]) out.push_back(per_server[s]);
+  // gets exactly one extent, spanning from its first piece's local offset
+  // to its last piece's local end. global_off records the first global byte.
+  const std::uint64_t end = off + len;
+  const std::uint64_t u0 = unit_of(off);
+  const std::uint64_t u1 = unit_of(end - 1);
+  const std::uint32_t dn = data_servers();
+  out.reserve(std::min<std::uint64_t>(u1 - u0 + 1, dn));
+  for (std::uint32_t s = 0; s < dn; ++s) {
+    const std::uint64_t first = first_unit_on(s, u0);
+    if (first > u1) continue;
+    const std::uint64_t last = first + (u1 - first) / dn * dn;
+    const std::uint64_t gs = std::max(off, first * stripe_unit);
+    const std::uint64_t ge = std::min(end, (last + 1) * stripe_unit);
+    const std::uint64_t ls = local_off(gs);
+    out.push_back(Extent{s, gs, ls, local_off(ge - 1) + 1 - ls});
   }
   return out;
 }

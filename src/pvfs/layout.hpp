@@ -67,6 +67,12 @@ struct StripeLayout {
   std::uint64_t local_unit(std::uint64_t u) const {
     return u / data_servers();
   }
+  /// The first unit at or after `u` that lives on data server `s`; the
+  /// server's later units follow every data_servers() units.
+  std::uint64_t first_unit_on(std::uint32_t s, std::uint64_t u) const {
+    const std::uint32_t dn = data_servers();
+    return u + (s + dn - server_of_unit(u)) % dn;
+  }
 
   /// Server-local byte offset of global file offset `off`.
   std::uint64_t local_off(std::uint64_t off) const {
@@ -164,7 +170,8 @@ struct StripeLayout {
 
   /// Split [off, off+len) into per-server extents, merging unit runs that
   /// are contiguous in a server's local file (which happens exactly when the
-  /// global range covers consecutive rows). Order: by server id.
+  /// global range covers consecutive rows). Order: by server id. One pass
+  /// over the servers, not the units.
   std::vector<Extent> decompose_merged(std::uint64_t off,
                                        std::uint64_t len) const;
 

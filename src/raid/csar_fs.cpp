@@ -41,18 +41,38 @@ struct PartialSeg {
   std::uint64_t group;
 };
 
-std::vector<PartialSeg> partial_segments(const GroupCode& gc,
-                                         const StripeLayout::WriteSplit& ws) {
-  std::vector<PartialSeg> out;
+/// The (at most two) partial segments of a write split, held inline.
+struct PartialSegs {
+  PartialSeg seg[2];
+  std::size_t n = 0;
+  const PartialSeg* begin() const { return seg; }
+  const PartialSeg* end() const { return seg + n; }
+  std::size_t size() const { return n; }
+};
+
+PartialSegs partial_segments(const GroupCode& gc,
+                             const StripeLayout::WriteSplit& ws) {
+  PartialSegs out;
   if (ws.head_end > ws.head_start) {
-    out.push_back({ws.head_start, ws.head_end, gc.group_of_off(ws.head_start)});
+    out.seg[out.n++] = {ws.head_start, ws.head_end,
+                        gc.group_of_off(ws.head_start)};
   }
   if (ws.tail_end > ws.tail_start) {
-    out.push_back({ws.tail_start, ws.tail_end, gc.group_of_off(ws.tail_start)});
+    out.seg[out.n++] = {ws.tail_start, ws.tail_end,
+                        gc.group_of_off(ws.tail_start)};
   }
   // Head group < tail group, so this is already ascending — the ordered
   // coding-lock acquisition the paper uses to avoid deadlock (§5.1).
   return out;
+}
+
+/// Per-unit pieces of the partial segments (what decompose yields for them).
+std::uint64_t unit_pieces(const StripeLayout& layout, const PartialSegs& segs) {
+  std::uint64_t n = 0;
+  for (const auto& seg : segs) {
+    n += layout.unit_of(seg.end - 1) - layout.unit_of(seg.start) + 1;
+  }
+  return n;
 }
 
 /// Byte columns of the coding unit touched by a partial segment. With more
@@ -329,8 +349,7 @@ sim::Task<Result<void>> CsarFs::write_raid1(const pvfs::OpenFile& f,
   const std::uint32_t gen = p_.policy->red_gen_of(f);
   std::vector<std::pair<std::uint32_t, Request>> reqs;
   for (const auto& e : layout.decompose_merged(off, data.size())) {
-    Buffer payload = pvfs::Client::gather_for_server(layout, off, data,
-                                                     e.server);
+    Buffer payload = pvfs::Client::gather_for_server(layout, off, data, e);
     // The overflow invalidations cost nothing on the wire and are no-ops
     // for files that never had overflow entries; for an ex-Hybrid file they
     // keep the (still live) overflow overlay from shadowing these in-place
@@ -598,6 +617,9 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
   //    the full data range (in place), then fresh coding for fully covered
   //    groups.
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  // Upper bound: partial coding, data plus invalidations, full coding.
+  writes.reserve(coding.size() + 2 * layout.data_servers() +
+                 (ws.full_end - ws.full_start) / gc.width() * m);
   for (std::size_t c = 0; c < coding.size(); ++c) {
     Request w;
     w.op = Op::write_red;
@@ -616,7 +638,7 @@ sim::Task<Result<void>> CsarFs::write_coded(const pvfs::OpenFile& f,
     w.op = Op::write_data;
     w.handle = f.handle;
     w.off = e.local_off;
-    w.payload = pvfs::Client::gather_for_server(layout, off, data, e.server);
+    w.payload = pvfs::Client::gather_for_server(layout, off, data, e);
     w.su = layout.stripe_unit;
     if (inval) {
       // An ex-Hybrid file migrated to an in-place scheme keeps its overflow
@@ -665,6 +687,10 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
   std::uint64_t xor_bytes = 0;
 
   std::vector<std::pair<std::uint32_t, Request>> writes;
+  // Upper bound: data and parity per server for the full-stripe run, two
+  // overflow copies per unit piece of the partial segments.
+  writes.reserve((ws.full_end > ws.full_start ? 2 * n : 0) +
+                 2 * unit_pieces(layout, segs));
 
   // Full-stripe run: RAID5 fast path — in-place data + fresh parity, plus
   // invalidation of any overflow entries the new stripes supersede.
@@ -686,7 +712,7 @@ sim::Task<Result<void>> CsarFs::write_hybrid(const pvfs::OpenFile& f,
       w.payload = pvfs::Client::gather_for_server(layout, ws.full_start,
                                                   data.slice(ws.full_start - off,
                                                              span),
-                                                  e.server);
+                                                  e);
       w.su = layout.stripe_unit;
       w.inval_own = extent[e.server];
       w.inval_mirror = extent[(e.server + n - 1) % n];

@@ -326,7 +326,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
     std::vector<std::pair<std::uint32_t, Request>> reqs;
     for (const auto& e : layout.decompose_merged(off, len)) {
       Buffer payload =
-          pvfs::Client::gather_for_server(layout, off, data, e.server);
+          pvfs::Client::gather_for_server(layout, off, data, e);
       if (!contains(failed, e.server)) {
         Request w;
         w.op = Op::write_data;

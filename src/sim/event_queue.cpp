@@ -21,7 +21,7 @@ std::uint32_t EventQueue::Level::next(std::uint32_t from) const {
 
 void EventQueue::ready_push(Event ev) {
   ready_.push_back(ev);
-  std::push_heap(ready_.begin(), ready_.end(), later);
+  std::push_heap(ready_.begin(), ready_.end(), Later{});
 }
 
 void EventQueue::wheel_push(Event&& ev) {
@@ -43,7 +43,7 @@ void EventQueue::wheel_push(Event&& ev) {
     levels_[2].mark(s);
   } else {
     overflow_.push_back(ev);
-    std::push_heap(overflow_.begin(), overflow_.end(), later);
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
 }
 
@@ -74,7 +74,7 @@ void EventQueue::drain_overflow() {
   while (!overflow_.empty() &&
          (overflow_.front().t >> (kTickBits + 3 * kSlotBits)) ==
              (cur_tick_ >> (3 * kSlotBits))) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), later);
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     Event ev = overflow_.back();
     overflow_.pop_back();
     if ((ev.t >> kTickBits) <= cur_tick_) {
@@ -131,7 +131,7 @@ bool EventQueue::ensure_ready() {
 
 EventQueue::Event EventQueue::pop_ready() {
   assert(!ready_.empty());
-  std::pop_heap(ready_.begin(), ready_.end(), later);
+  std::pop_heap(ready_.begin(), ready_.end(), Later{});
   Event ev = ready_.back();
   ready_.pop_back();
   --size_;

@@ -108,9 +108,13 @@ class EventQueue {
     bool cancelled = false;
   };
 
-  static bool later(const Event& a, const Event& b) {
-    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-  }
+  /// Heap order by (t, seq). A function object, not a function pointer,
+  /// so push_heap/pop_heap inline the comparison.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    }
+  };
 
   void ready_push(Event ev);
   /// File an event into the wheel/overflow by its tick (tick > cur_tick_).

@@ -3,10 +3,8 @@
 namespace csar::sim {
 
 Task<void> when_all(Simulation& sim, std::vector<Task<void>> tasks) {
-  std::vector<ProcessHandle> handles;
-  handles.reserve(tasks.size());
-  for (auto& t : tasks) handles.push_back(sim.spawn(std::move(t)));
-  for (auto& h : handles) co_await h.join();
+  co_await when_all(sim, tasks.size(),
+                    [&tasks](std::size_t i) { return std::move(tasks[i]); });
 }
 
 }  // namespace csar::sim

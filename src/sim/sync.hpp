@@ -305,8 +305,33 @@ class TokenBucket {
   std::uint64_t taken_ = 0;
 };
 
-/// Run all tasks as concurrent child processes; completes when every one has
-/// finished. The workhorse for fan-out I/O (a client writing to N servers).
+/// Run make(0), ..., make(n-1) as concurrent child processes, each spawned
+/// as soon as it is made, in index order; completes when every one has
+/// finished, joining in the same order. The workhorse for fan-out I/O (a
+/// client writing to N servers). The first kWhenAllInline process handles
+/// live in the coroutine frame, so a typical fan-out allocates nothing.
+inline constexpr std::size_t kWhenAllInline = 8;
+
+template <typename Make>
+Task<void> when_all(Simulation& sim, std::size_t n, Make make) {
+  ProcessHandle near[kWhenAllInline];
+  std::vector<ProcessHandle> spill;
+  if (n > kWhenAllInline) spill.reserve(n - kWhenAllInline);
+  for (std::size_t i = 0; i < n; ++i) {
+    ProcessHandle h = sim.spawn(make(i));
+    if (i < kWhenAllInline) {
+      near[i] = h;
+    } else {
+      spill.push_back(h);
+    }
+  }
+  for (std::size_t i = 0; i < n && i < kWhenAllInline; ++i) {
+    co_await near[i].join();
+  }
+  for (const ProcessHandle& h : spill) co_await h.join();
+}
+
+/// when_all over tasks made in advance.
 Task<void> when_all(Simulation& sim, std::vector<Task<void>> tasks);
 
 }  // namespace csar::sim

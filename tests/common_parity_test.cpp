@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -38,6 +40,25 @@ TEST_P(ParityKernelEquivalence, WordMatchesByte) {
   xor_bytes(dst1, src);
   xor_words(dst2, src);
   EXPECT_EQ(dst1, dst2) << "length " << n;
+}
+
+// The fused form dst = a ^ b equals copying a and XORing b into it, at every
+// length and with unaligned starts.
+TEST_P(ParityKernelEquivalence, FusedCopyXorMatchesCopyThenXor) {
+  const std::size_t n = GetParam();
+  Rng rng(4321 + n);
+  for (const std::size_t skew : {0u, 1u, 3u}) {
+    const auto a = random_bytes(rng, n + skew);
+    const auto b = random_bytes(rng, n + 2 * skew);
+    std::vector<std::byte> want(a.begin() + skew, a.end());
+    xor_bytes(want, std::span<const std::byte>(b).subspan(2 * skew, n));
+    std::vector<std::byte> got(n + skew);
+    xor_words(std::span<std::byte>(got).subspan(skew, n),
+              std::span<const std::byte>(a).subspan(skew, n),
+              std::span<const std::byte>(b).subspan(2 * skew, n));
+    EXPECT_EQ(std::vector<std::byte>(got.begin() + skew, got.end()), want)
+        << "length " << n << " skew " << skew;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ParityKernelEquivalence,
@@ -92,6 +113,56 @@ TEST(Parity, BufferXorUsesWordKernel) {
   }
   a.xor_with(b);
   EXPECT_EQ(a, expect);
+}
+
+// xor_with on a shared view writes this ^ other into fresh backing in one
+// pass; it must give exactly what copy-then-XOR gives, byte for byte, and
+// leave every buffer sharing the old backing untouched.
+TEST(Buffer, SharedXorMatchesCopyThenXor) {
+  const std::uint64_t sizes[] = {1, 7, 8, 31, 32, 33, 100, 4099};
+  const std::uint64_t offs[] = {0, 1, 5, 13};
+  std::uint64_t seed = 1;
+  for (const std::uint64_t n : sizes) {
+    for (const std::uint64_t m : {n / 2, n, n + 9}) {
+      for (const std::uint64_t off : offs) {
+        for (const std::uint64_t other_off : offs) {
+          const Buffer backing = Buffer::pattern(n + off + 3, ++seed);
+          const Buffer other_backing = Buffer::pattern(m + other_off, ++seed);
+          const Buffer other = other_backing.slice(other_off, m);
+          // Reference: copy the view's bytes, then XOR the common prefix.
+          std::vector<std::byte> want(backing.bytes().begin() + off,
+                                      backing.bytes().begin() + off + n);
+          for (std::uint64_t i = 0; i < std::min(n, m); ++i) {
+            want[i] ^= other.bytes()[i];
+          }
+          Buffer target = backing.slice(off, n);  // shared: fused path
+          target.xor_with(other);
+          EXPECT_EQ(target, Buffer::from_bytes(want))
+              << "n=" << n << " m=" << m << " off=" << off;
+          EXPECT_EQ(backing, Buffer::pattern(n + off + 3, seed - 1));
+          EXPECT_EQ(other_backing, Buffer::pattern(m + other_off, seed));
+
+          Buffer owned = Buffer::real(n);  // unshared: XORs in place
+          owned.write_at(0, backing.slice(off, n));
+          owned.xor_with(other);
+          EXPECT_EQ(owned, target);
+        }
+      }
+    }
+  }
+}
+
+TEST(Buffer, SharedXorWithAnAliasOfItsOwnBacking) {
+  const Buffer backing = Buffer::pattern(64, 3);
+  Buffer a = backing.slice(0, 40);
+  const Buffer b = backing.slice(7, 40);
+  std::vector<std::byte> want(backing.bytes().begin(),
+                              backing.bytes().begin() + 40);
+  for (std::size_t i = 0; i < 40; ++i) want[i] ^= backing.bytes()[7 + i];
+  a.xor_with(b);
+  EXPECT_EQ(a, Buffer::from_bytes(want));
+  EXPECT_EQ(backing, Buffer::pattern(64, 3));
+  EXPECT_EQ(b, Buffer::pattern(64, 3).slice(7, 40));
 }
 
 }  // namespace

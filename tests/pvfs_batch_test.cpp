@@ -246,35 +246,53 @@ TEST(Batch, RpcAllCoalescesOnlyRedundancyClassRequests) {
     seed.off = 0;
     seed.payload = Buffer::pattern(2 * kSu, 4);
     (void)co_await f.rig.client().rpc(0, std::move(seed));
+    for (std::uint32_t s = 1; s <= 2; ++s) {
+      Request w = f.make(Op::write_red, 7);
+      w.off = 0;
+      w.payload = Buffer::pattern(kSu, 4 + s);
+      (void)co_await f.rig.client().rpc(s, std::move(w));
+    }
+    auto read_red = [&](std::uint64_t off) {
+      Request r = f.make(Op::read_red, 7);
+      r.off = off;
+      r.len = kSu;
+      return r;
+    };
+    auto read_data = [&](std::uint64_t off) {
+      Request r = f.make(Op::read_data, 7);
+      r.off = off;
+      r.len = kSu;
+      return r;
+    };
 
-    // Two redundancy-class reads + two bulk reads, all to server 0: only
-    // the redundancy pair may share an envelope — bulk responses must
-    // pipeline as their own messages.
+    // Two redundancy-class reads + two bulk reads to server 0, and one
+    // redundancy read each to servers 1 and 2: only server 0's redundancy
+    // pair may share an envelope — bulk responses pipeline as their own
+    // messages, and a lone redundancy request per server is a plain RPC.
+    const std::uint64_t sent0 = f.rig.client().rpc_stats().sent;
     std::vector<std::pair<std::uint32_t, Request>> reqs;
-    Request r1 = f.make(Op::read_red, 7);
-    r1.off = 0;
-    r1.len = kSu;
-    reqs.emplace_back(0, std::move(r1));
-    Request d1 = f.make(Op::read_data, 7);
-    d1.off = 0;
-    d1.len = kSu;
-    reqs.emplace_back(0, std::move(d1));
-    Request r2 = f.make(Op::read_red, 7);
-    r2.off = kSu;
-    r2.len = kSu;
-    reqs.emplace_back(0, std::move(r2));
-    Request d2 = f.make(Op::read_data, 7);
-    d2.off = kSu;
-    d2.len = kSu;
-    reqs.emplace_back(0, std::move(d2));
+    reqs.emplace_back(0, read_red(0));
+    reqs.emplace_back(2, read_red(0));
+    reqs.emplace_back(0, read_data(0));
+    reqs.emplace_back(0, read_red(kSu));
+    reqs.emplace_back(1, read_red(0));
+    reqs.emplace_back(0, read_data(kSu));
     auto rs = co_await f.rig.client().rpc_all(std::move(reqs));
-    CO_ASSERT_EQ(rs.size(), 4u);
+    CO_ASSERT_EQ(rs.size(), 6u);
     for (const auto& r : rs) EXPECT_TRUE(r.ok);
     // Responses come back in request order regardless of grouping.
-    EXPECT_EQ(rs[1].data, Buffer::pattern(2 * kSu, 4).slice(0, kSu));
-    EXPECT_EQ(rs[3].data, Buffer::pattern(2 * kSu, 4).slice(kSu, kSu));
+    EXPECT_EQ(rs[1].server, 2);
+    EXPECT_EQ(rs[1].data, Buffer::pattern(kSu, 6));
+    EXPECT_EQ(rs[2].data, Buffer::pattern(2 * kSu, 4).slice(0, kSu));
+    EXPECT_EQ(rs[4].server, 1);
+    EXPECT_EQ(rs[4].data, Buffer::pattern(kSu, 5));
+    EXPECT_EQ(rs[5].data, Buffer::pattern(2 * kSu, 4).slice(kSu, kSu));
     EXPECT_EQ(f.rig.server(0).batch_stats().batches, 1u);
     EXPECT_EQ(f.rig.server(0).batch_stats().subs, 2u);
+    EXPECT_EQ(f.rig.server(1).batch_stats().batches, 0u);
+    EXPECT_EQ(f.rig.server(2).batch_stats().batches, 0u);
+    // One envelope, two bulk reads, two lone redundancy reads.
+    EXPECT_EQ(f.rig.client().rpc_stats().sent - sent0, 5u);
   }(fx));
 }
 

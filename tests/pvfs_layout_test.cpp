@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/rng.hpp"
@@ -278,10 +280,12 @@ TEST(Layout, GatherWithinOneUnitIsAViewOfTheCallersBytes) {
   StripeLayout l{1024, 4};
   const Buffer data = Buffer::pattern(500, 1);
   const std::uint64_t off = 1024 + 100;  // inside unit 1, on server 1
-  const Buffer got = Client::gather_for_server(l, off, data, 1);
+  const auto merged = l.decompose_merged(off, data.size());
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].server, 1u);
+  const Buffer got = Client::gather_for_server(l, off, data, merged[0]);
   EXPECT_EQ(got.size(), 500u);
   EXPECT_EQ(got.bytes().data(), data.bytes().data());  // no copy
-  EXPECT_TRUE(Client::gather_for_server(l, off, data, 0).empty());
 }
 
 TEST(Layout, GatherAcrossStripesGivesEachServersBytesInLocalOrder) {
@@ -291,23 +295,123 @@ TEST(Layout, GatherAcrossStripesGivesEachServersBytesInLocalOrder) {
   const std::uint64_t off = 512;
   const std::uint64_t len = 3 * n * su + 300;
   const Buffer data = Buffer::pattern(len, 2);
+  const auto merged = l.decompose_merged(off, len);
+  ASSERT_EQ(merged.size(), n);
   std::uint64_t sum = 0;
-  for (std::uint32_t s = 0; s < n; ++s) {
+  for (const auto& e : merged) {
     // Byte i of the file lives on server (i / su) % n, and a server's
     // local order is its global order.
     std::vector<std::byte> expect;
     for (std::uint64_t i = off; i < off + len; ++i) {
-      if ((i / su) % n == s) expect.push_back(data.bytes()[i - off]);
+      if ((i / su) % n == e.server) expect.push_back(data.bytes()[i - off]);
     }
-    const Buffer got = Client::gather_for_server(l, off, data, s);
-    EXPECT_EQ(got, Buffer::from_bytes(expect)) << "server " << s;
+    const Buffer got = Client::gather_for_server(l, off, data, e);
+    EXPECT_EQ(got, Buffer::from_bytes(expect)) << "server " << e.server;
     sum += got.size();
   }
   EXPECT_EQ(sum, len);
   const Buffer phantom =
-      Client::gather_for_server(l, off, Buffer::phantom(len), 1);
+      Client::gather_for_server(l, off, Buffer::phantom(len), merged[1]);
   EXPECT_FALSE(phantom.materialized());
-  EXPECT_EQ(phantom.size(), Client::gather_for_server(l, off, data, 1).size());
+  EXPECT_EQ(phantom.size(),
+            Client::gather_for_server(l, off, data, merged[1]).size());
+}
+
+
+// decompose_merged and gather_for_server walk the servers' units directly;
+// these references rebuild both from the per-unit decompose, and every
+// layout shape must agree with them.
+std::vector<StripeLayout::Extent> merged_reference(const StripeLayout& l,
+                                                   std::uint64_t off,
+                                                   std::uint64_t len) {
+  std::vector<StripeLayout::Extent> per_server(l.n(), {0, 0, 0, 0});
+  std::vector<bool> seen(l.n(), false);
+  for (const auto& e : l.decompose(off, len)) {
+    if (!seen[e.server]) {
+      per_server[e.server] = e;
+      seen[e.server] = true;
+    } else {
+      per_server[e.server].len += e.len;
+    }
+  }
+  std::vector<StripeLayout::Extent> out;
+  for (std::uint32_t s = 0; s < l.n(); ++s) {
+    if (seen[s]) out.push_back(per_server[s]);
+  }
+  return out;
+}
+
+Buffer gather_reference(const StripeLayout& l, std::uint64_t off,
+                        const Buffer& data, std::uint32_t s) {
+  std::vector<Buffer> parts;
+  for (const auto& e : l.decompose(off, data.size())) {
+    if (e.server == s) parts.push_back(data.slice(e.global_off - off, e.len));
+  }
+  return Buffer::concat(parts);
+}
+
+void expect_matches_reference(const StripeLayout& l, std::uint64_t off,
+                              std::uint64_t len, const Buffer& pool) {
+  const std::string where = "su=" + std::to_string(l.stripe_unit) +
+                            " n=" + std::to_string(l.n()) +
+                            " base=" + std::to_string(l.base) +
+                            " fixed=" +
+                            std::to_string(l.placement == ParityPlacement::fixed) +
+                            " off=" + std::to_string(off) +
+                            " len=" + std::to_string(len);
+  const auto units = l.decompose(off, len);
+  std::uint64_t covered = 0;
+  for (const auto& e : units) covered += e.len;
+  EXPECT_EQ(covered, len) << where;
+
+  const auto got = l.decompose_merged(off, len);
+  const auto want = merged_reference(l, off, len);
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].server, want[i].server) << where;
+    EXPECT_EQ(got[i].global_off, want[i].global_off) << where;
+    EXPECT_EQ(got[i].local_off, want[i].local_off) << where;
+    EXPECT_EQ(got[i].len, want[i].len) << where;
+  }
+
+  const Buffer real = pool.slice(0, len);
+  const Buffer phantom = Buffer::phantom(len);
+  for (const auto& e : got) {
+    const std::uint32_t s = e.server;
+    const Buffer g = Client::gather_for_server(l, off, real, e);
+    EXPECT_TRUE(g.materialized()) << where << " s=" << s;
+    EXPECT_EQ(g, gather_reference(l, off, real, s)) << where << " s=" << s;
+    const Buffer gp = Client::gather_for_server(l, off, phantom, e);
+    EXPECT_FALSE(gp.materialized()) << where << " s=" << s;
+    EXPECT_EQ(gp.size(), g.size()) << where << " s=" << s;
+  }
+}
+
+TEST(Layout, MergedAndGatherMatchTheirDecomposeReferences) {
+  Rng rng(0xDEC0);
+  for (const std::uint32_t su : {1024u, 64u * 1024u}) {
+    for (std::uint32_t n = 1; n <= 9; ++n) {
+      const Buffer pool = Buffer::pattern(3ull * n * su + su, n);
+      for (const auto placement :
+           {ParityPlacement::rotating, ParityPlacement::fixed}) {
+        if (placement == ParityPlacement::fixed && n < 2) continue;
+        for (std::uint32_t base = 0; base < n; ++base) {
+          StripeLayout l{su, n, placement, base};
+          const std::uint64_t span = 3ull * n * su + su;
+          expect_matches_reference(l, 0, 0, pool);
+          expect_matches_reference(l, 0, span, pool);
+          expect_matches_reference(l, rng.below(span), 0, pool);
+          for (int i = 0; i < 6; ++i) {
+            const std::uint64_t off = rng.below(4ull * n * su);
+            expect_matches_reference(l, off, 1 + rng.below(span - 1), pool);
+          }
+          // Unit-aligned and one-byte edges.
+          expect_matches_reference(l, su, su, pool);
+          expect_matches_reference(l, su - 1, 2, pool);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -211,6 +211,32 @@ TEST(WhenAll, EmptyCompletesImmediately) {
   EXPECT_TRUE(done);
 }
 
+// More children than the frame holds handles for: the rest spill to a
+// vector. Children start in index order and the join waits for the
+// slowest, which sits in the spilled part.
+TEST(WhenAll, SpillsPastTheInlineHandles) {
+  Simulation sim;
+  constexpr std::size_t kN = 3 * kWhenAllInline + 1;
+  std::vector<std::size_t> started;
+  Time done_at = 0;
+  sim.spawn([](Simulation& s, std::vector<std::size_t>& st,
+               Time& t) -> Task<void> {
+    co_await when_all(s, kN, [&](std::size_t i) {
+      return [](Simulation& s2, std::vector<std::size_t>& st2,
+                std::size_t idx) -> Task<void> {
+        st2.push_back(idx);
+        co_await s2.sleep(ms(idx == kN - 2 ? 50 : 1 + idx % 5));
+      }(s, st, i);
+    });
+    t = s.now();
+  }(sim, started, done_at));
+  sim.run();
+  ASSERT_EQ(started.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(started[i], i);
+  EXPECT_EQ(done_at, ms(50));
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
 // Classic RAID5 parity-lock shape: ordered lock acquisition avoids deadlock.
 TEST(Mutex, OrderedAcquisitionOfTwoLocks) {
   Simulation sim;
