@@ -1,7 +1,8 @@
 // Behaviour pin for the group-code engine: every parity/rs operation —
 // full-stripe, read-modify-write and straddling writes, degraded reads,
 // degraded writes, wipe + rebuild of a data victim and of a coding holder,
-// and build_redundancy migrations — run on a 9-server materialized rig, with
+// build_redundancy migrations and the scrub's verify and repair passes —
+// run on a 9-server materialized rig, with
 // committed integer outputs: the completion time of every operation (ns),
 // the events executed, an FNV-1a hash of every server's data, redundancy
 // and overflow bytes, and one of the lock and erasure-coding counters
@@ -18,9 +19,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hw/disk.hpp"
+#include "hw/page_cache.hpp"
 #include "pvfs/io_server.hpp"
 #include "raid/recovery.hpp"
 #include "raid/rig.hpp"
+#include "raid/scrub.hpp"
 #include "test_util.hpp"
 
 namespace csar::raid {
@@ -276,6 +280,119 @@ Golden run_migrations() {
   return out;
 }
 
+/// Fold every field of a scrub report into `h`.
+void fnv_report(std::uint64_t& h, const Scrubber::Report& rep) {
+  for (const std::uint64_t v :
+       {rep.groups_checked, rep.parity_mismatches, rep.mirror_units_checked,
+        rep.mirror_mismatches, rep.overflow_pairs_checked,
+        rep.overflow_mismatches, rep.media_errors, rep.unrepairable,
+        rep.repaired}) {
+    fnv(h, v);
+  }
+}
+
+/// The scrub of a written file: verify while clean; repair after latent
+/// sector errors on one data and one coding fragment (for m = 1 in groups 0
+/// and 1, for m >= 2 both in group 0); repair after coding row m-1 of group
+/// 2 is overwritten with wrong bytes; a final verify. `counters` folds the
+/// four reports into the lock and EcStats hash.
+Golden run_scrub(Scheme sch) {
+  RigParams p;
+  p.scheme = sch;
+  p.nservers = kServers;
+  Rig rig(p);
+  Golden out;
+  std::uint64_t handle = 0;
+  run_sim_void(rig, [](Rig& r, Scheme sch, Golden* out,
+                       std::uint64_t* handle) -> sim::Task<void> {
+    auto& fs = r.client_fs();
+    auto f = co_await fs.create("s", r.layout(kSu));
+    CO_ASSERT_TRUE(f.ok());
+    *handle = f->handle;
+    const GroupCode gc = *group_code(sch, f->layout);
+    const std::uint64_t w = gc.width();
+    const std::uint64_t size = 3 * w;
+    RefFile ref;
+    Rng rng(0x5C20BULL);
+    // Full stripes, then a partial write (an RMW, or Hybrid overflow).
+    const std::uint64_t offs[] = {0, w + 100};
+    const std::uint64_t lens[] = {size, 1500};
+    for (int i = 0; i < 2; ++i) {
+      Buffer data = Buffer::pattern(lens[i], rng.next());
+      ref.write(offs[i], data);
+      auto wr = co_await fs.write(*f, offs[i], std::move(data));
+      CO_ASSERT_TRUE(wr.ok());
+    }
+    out->ns.push_back(r.sim.now());
+    std::uint64_t reports = 0xcbf29ce484222325ULL;
+    Scrubber scrub(r.client(), &r.policy());
+
+    auto clean = co_await scrub.verify(*f, size);
+    CO_ASSERT_TRUE(clean.ok());
+    EXPECT_TRUE(clean->clean());
+    EXPECT_EQ(clean->groups_checked, 3u);
+    fnv_report(reports, *clean);
+    out->ns.push_back(r.sim.now());
+
+    // Latent sector errors under data fragment 1 of group 0 and coding
+    // fragment 0 of group 0 (m >= 2) or group 1 (m = 1). Flush and drop the
+    // caches so the scrub's reads reach the planted sectors.
+    for (std::uint32_t s = 0; s < r.p.nservers; ++s) {
+      co_await r.server(s).fs().flush();
+    }
+    r.drop_all_caches();
+    auto plant = [&r](std::uint32_t server, const std::string& name,
+                      std::uint64_t off) {
+      auto& srv = r.server(server);
+      const std::uint64_t fid = srv.fs().fid_of(name);
+      ASSERT_NE(fid, 0u);
+      hw::Disk* disk = r.cluster.node(srv.node_id()).disk();
+      disk->plant_media_error(hw::PageCache::page_addr(fid, 0, 1) + off, kSu);
+    };
+    const std::uint64_t cg = gc.m() == 1 ? 1 : 0;
+    plant(gc.fragment_server(0, 1), pvfs::IoServer::data_name(f->handle),
+          f->layout.local_unit(1) * kSu);
+    plant(gc.fragment_server(cg, gc.k()), pvfs::IoServer::red_name(f->handle),
+          gc.coding_off(cg));
+    auto media = co_await scrub.repair(*f, size);
+    CO_ASSERT_TRUE(media.ok());
+    EXPECT_EQ(media->media_errors, 2u);
+    EXPECT_EQ(media->repaired, 2u);
+    EXPECT_EQ(media->unrepairable, 0u);
+    fnv_report(reports, *media);
+    out->ns.push_back(r.sim.now());
+
+    // Wrong bytes in coding row m-1 of group 2.
+    const std::uint32_t row = gc.m() - 1;
+    co_await r.server(gc.fragment_server(2, gc.k() + row))
+        .fs()
+        .write(pvfs::IoServer::red_name(f->handle), gc.coding_off(2),
+               Buffer::pattern(kSu, 999));
+    auto bad = co_await scrub.repair(*f, size);
+    CO_ASSERT_TRUE(bad.ok());
+    EXPECT_EQ(bad->parity_mismatches, 1u);
+    EXPECT_EQ(bad->repaired, 1u);
+    fnv_report(reports, *bad);
+    out->ns.push_back(r.sim.now());
+
+    auto again = co_await scrub.verify(*f, size);
+    CO_ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again->clean());
+    fnv_report(reports, *again);
+    auto rd = co_await fs.read(*f, 0, size);
+    CO_ASSERT_TRUE(rd.ok());
+    EXPECT_EQ(*rd, ref.expect(0, size));
+    out->ns.push_back(r.sim.now());
+    out->events = r.sim.events_executed();
+    out->counters = hash_counters(r);
+    fnv(out->counters, reports);
+  }(rig, sch, &out, &handle));
+  run_sim_void(rig, [](Rig& r, std::uint64_t h, Golden* o) -> sim::Task<void> {
+    o->hash = co_await hash_servers(r, h);
+  }(rig, handle, &out));
+  return out;
+}
+
 void expect_golden(const Golden& got, const Golden& want) {
   EXPECT_EQ(got.ns, want.ns) << "got " << show(got);
   EXPECT_EQ(got.events, want.events) << "got " << show(got);
@@ -341,6 +458,51 @@ TEST(EngineGolden, Migrations) {
                 Golden{{10623996u, 11134246u, 12591985u, 13392514u, 16984530u,
                         20627490u},
                        1826u, 0xa838977ec0da79a6u, 0x8bfe44ae3c846848u});
+}
+
+// The scrub rows were computed when RAID4/RAID5/Hybrid and rs(k,m) still
+// had separate scrub bodies, and hold for the one group-code scrub.
+TEST(EngineGolden, ScrubRaid4) {
+  expect_golden(run_scrub(Scheme::raid4),
+                Golden{{11948587u, 14991787u, 120868146u, 124862569u,
+                        129793049u},
+                       1806u, 0xa986d5fd3075c2edu, 0xd07140b31a723d76u});
+}
+TEST(EngineGolden, ScrubRaid5) {
+  expect_golden(run_scrub(Scheme::raid5),
+                Golden{{11738827u, 14782027u, 164987986u, 177920809u,
+                        182795529u},
+                       1835u, 0x221f831f6cf5498du, 0x926364284fb01636u});
+}
+TEST(EngineGolden, ScrubRaid5NoLock) {
+  expect_golden(run_scrub(Scheme::raid5_nolock),
+                Golden{{11738827u, 14782027u, 164987986u, 177920809u,
+                        182795529u},
+                       1835u, 0x221f831f6cf5498du, 0xf4a3848baa119943u});
+}
+TEST(EngineGolden, ScrubRaid5Npc) {
+  expect_golden(run_scrub(Scheme::raid5_npc),
+                Golden{{11675511u, 14718711u, 164924670u, 177857493u,
+                        182732213u},
+                       1832u, 0x221f831f6cf5498du, 0x926364284fb01636u});
+}
+TEST(EngineGolden, ScrubHybrid) {
+  expect_golden(run_scrub(Scheme::hybrid),
+                Golden{{11385001u, 23464733u, 219141280u, 241110635u,
+                        255021887u},
+                       2223u, 0xafa79767448476ddu, 0x9e899fbf73731b0eu});
+}
+TEST(EngineGolden, ScrubRs4_2) {
+  expect_golden(run_scrub(Scheme::rs(4, 2)),
+                Golden{{11554151u, 13864919u, 190546214u, 202685005u,
+                        206156333u},
+                       1449u, 0xa522ac517741ed47u, 0xe4e7ea8111b4002bu});
+}
+TEST(EngineGolden, ScrubRs6_3) {
+  expect_golden(run_scrub(Scheme::rs(6, 3)),
+                Golden{{12267914u, 15355562u, 220308449u, 233162520u,
+                        237743288u},
+                       1960u, 0x1fca05a8313e4fdau, 0xf2ceca01ecc998f2u});
 }
 
 }  // namespace
