@@ -9,6 +9,10 @@
 #     (obs_overhead); A7 (rebuild) is compared up to its exit code too;
 #   - the SIM lines of bench_sim_scale --quick (its PERF lines are host time);
 #   - every examples/* program (csar_shell with empty input);
+#   - a fixed csar_shell session (create, write, scrub, repair, fail, read,
+#     wipe, recover, rebuild, scrub) on 6 servers under raid4, raid5 and
+#     rs(4,2); its `time` lines print the absolute simulated time and event
+#     count, so a drift in the scrub's timing shows;
 #   - fault_storm default, --fleet and an rs-heavy --schemes list;
 #   - the repository benchmark's (perfbench/) simulated outcome: the
 #     `RUN rep1` line of small_hybrid and parity_rmw at seed 1, one second,
@@ -72,17 +76,40 @@ perfbench_workloads=(small_hybrid parity_rmw)
 
 # run <side> <label> <binary-relative-to-build> [args...]: stdout + exit code
 # into $work/out/<side>/<label>, run from a scratch cwd so stray output files
-# never land in the tree. A surface missing on one side shows as a DIFF.
+# never land in the tree. Standard input is $stdin (default: empty). A
+# surface missing on one side shows as a DIFF.
 run() {
   local side=$1 label=$2 bin=$3
   shift 3
   local out="$work/out/$side/$label"
   mkdir -p "$work/out/$side" "$work/cwd/$side"
   local rc=0
-  (cd "$work/cwd/$side" && "$work/$side/$bin" "$@" </dev/null >"$out" 2>/dev/null) \
-    || rc=$?
+  (cd "$work/cwd/$side" &&
+    "$work/$side/$bin" "$@" <"${stdin:-/dev/null}" >"$out" 2>/dev/null) ||
+    rc=$?
   echo "exit=$rc" >>"$out"
 }
+
+shell_session=$work/shell_session.txt
+cat >"$shell_session" <<'SESSION'
+create f 16384
+write f 0 1048576
+write f 70000 5000
+scrub f
+time
+repair f
+time
+fail 2
+read f 0 1048576
+wipe 2
+recover 2
+rebuild f 2
+time
+scrub f
+read f 0 1048576
+time
+SESSION
+shell_schemes=(raid4 raid5 'rs(4,2)')
 
 for side in base head; do
   for b in "${benches[@]}"; do run "$side" "$b" "bench/$b"; done
@@ -91,6 +118,10 @@ for side in base head; do
   grep -E '^SIM|^exit=' "$work/out/$side/sim_scale_quick" \
     >"$work/out/$side/sim_scale_quick.sim"
   for e in "${examples[@]}"; do run "$side" "$e" "examples/$e"; done
+  for sch in "${shell_schemes[@]}"; do
+    stdin=$shell_session run "$side" "csar_shell_session_$sch" \
+      examples/csar_shell 6 "$sch"
+  done
   run "$side" fault_storm_fleet examples/fault_storm --fleet
   run "$side" fault_storm_rs examples/fault_storm \
     '--schemes=rs(4,2),rs(6,3),raid1,rs(4,2)'
@@ -104,6 +135,7 @@ for side in base head; do
 done
 surfaces=("${benches[@]}" sim_scale_quick.sim "${examples[@]}"
           fault_storm_fleet fault_storm_rs)
+for sch in "${shell_schemes[@]}"; do surfaces+=("csar_shell_session_$sch"); done
 for w in "${perfbench_workloads[@]}"; do surfaces+=("perfbench_$w.run"); done
 
 status=0

@@ -198,14 +198,10 @@ sim::Task<void> driver(const StormParams& p, raid::Rig& rig,
         // The write-hole span depends on the file's *current* scheme (a
         // migration may have landed mid-storm); mirror/striped-only writes
         // tear at most their own range.
-        const raid::Scheme sch = rig.policy().scheme_of(files[fi]);
-        if (sch != raid::Scheme::raid0 && sch != raid::Scheme::raid1) {
-          // rs groups are k units wide; every parity scheme's group is the
-          // full stripe. A torn write can desynchronize the whole group.
-          const std::uint64_t w =
-              sch.kind == raid::SchemeKind::rs
-                  ? files[fi].layout.rs_group_width(sch.k)
-                  : files[fi].layout.stripe_width();
+        if (const auto gc = raid::group_code(
+                rig.policy().scheme_of(files[fi]), files[fi].layout)) {
+          // A torn write can desynchronize every group it touched.
+          const std::uint64_t w = gc->width();
           lo = lo / w * w;
           hi = std::min<std::uint64_t>(p.file_size, (hi + w - 1) / w * w);
         }

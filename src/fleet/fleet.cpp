@@ -11,30 +11,11 @@ namespace csar::fleet {
 
 double loss_event_rate(raid::Scheme s, std::uint32_t nservers, double afr,
                        double repair_years) {
-  std::uint32_t g = nservers;
-  std::uint32_t m = 0;
-  switch (s.kind) {
-    case raid::SchemeKind::raid0:
-      g = nservers;
-      m = 0;
-      break;
-    case raid::SchemeKind::raid1:
-      g = 2;
-      m = 1;
-      break;
-    case raid::SchemeKind::raid4:
-    case raid::SchemeKind::raid5:
-    case raid::SchemeKind::raid5_nolock:
-    case raid::SchemeKind::raid5_npc:
-    case raid::SchemeKind::hybrid:
-      g = nservers;
-      m = 1;
-      break;
-    case raid::SchemeKind::rs:
-      g = s.k + s.m;
-      m = s.m;
-      break;
-  }
+  pvfs::StripeLayout layout;
+  layout.nservers = nservers;
+  const CodeSpec code = s.code(layout);
+  const std::uint32_t g = code.fragments();
+  const std::uint32_t m = code.m;
   // First failure at rate g·λ; each of the m further failures must land on
   // one of the remaining disks inside the repair window.
   double rate = static_cast<double>(g) * afr;

@@ -104,30 +104,19 @@ struct FleetParams {
   sim::Duration group_outage_duration = sim::ms(150);
 };
 
-/// Failures a scheme tolerates per redundancy group (its `m`).
+/// Failures a scheme tolerates per redundancy group: its code's m, which
+/// does not depend on the server count.
 inline std::uint32_t failures_tolerated(raid::Scheme s) {
-  switch (s.kind) {
-    case raid::SchemeKind::raid0:
-      return 0;
-    case raid::SchemeKind::raid1:
-    case raid::SchemeKind::raid4:
-    case raid::SchemeKind::raid5:
-    case raid::SchemeKind::raid5_nolock:
-    case raid::SchemeKind::raid5_npc:
-    case raid::SchemeKind::hybrid:
-      return 1;
-    case raid::SchemeKind::rs:
-      return s.m;
-  }
-  return 0;
+  return s.code(pvfs::StripeLayout{}).m;
 }
 
 /// Closed-form expected data-loss-event rate (events per year) for one
 /// redundancy group under scheme `s` with per-disk AFR `afr` and repair
 /// window `repair_years`: the first failure arrives at rate g·λ, and each
 /// of the m further failures must land among the remaining disks within the
-/// repair window — rate ≈ g·λ · Π_{i=1..m} (g−i)·λ·R. `nservers` resolves
-/// the group width of the classic schemes (parity: g = nservers).
+/// repair window — rate ≈ g·λ · Π_{i=1..m} (g−i)·λ·R, where g = k + m is
+/// the width of the scheme's code on an `nservers`-server layout (parity:
+/// g = nservers; RAID1: g = 2).
 double loss_event_rate(raid::Scheme s, std::uint32_t nservers, double afr,
                        double repair_years);
 

@@ -136,9 +136,6 @@ struct StripeLayout {
   // RAID4's fixed placement) — sparse per server, but collision-free
   // without closed-form density math — where rotating parity packs its
   // units densely (parity_local_unit = g / N).
-  std::uint64_t rs_group_width(std::uint32_t k) const {
-    return static_cast<std::uint64_t>(k) * stripe_unit;
-  }
   /// Server holding coding fragment j of rs group g.
   std::uint32_t rs_coding_server(std::uint64_t g, std::uint32_t k,
                                  std::uint32_t j) const {
@@ -150,11 +147,6 @@ struct StripeLayout {
   /// the group index is the slot).
   std::uint64_t rs_coding_local_off(std::uint64_t g) const {
     return g * stripe_unit;
-  }
-  /// Server holding data fragment i (unit g*k + i) of rs group g.
-  std::uint32_t rs_data_server(std::uint64_t g, std::uint32_t k,
-                               std::uint32_t i) const {
-    return server_of_unit(g * k + i);
   }
 
   // --- request decomposition ---

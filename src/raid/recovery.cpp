@@ -21,27 +21,6 @@ bool contains(const std::vector<std::uint32_t>& v, std::uint32_t s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-/// Read request for columns [c0, c0+len) of fragment `frag` of group g:
-/// raw data-file read for data fragments, redundancy-file read at the
-/// group's coding slot for coding fragments.
-Request fragment_read(const pvfs::OpenFile& f, const GroupCode& gc,
-                      std::uint32_t gen, std::uint64_t g, std::uint32_t frag,
-                      std::uint64_t c0, std::uint64_t len) {
-  const StripeLayout& lay = gc.layout;
-  Request r;
-  r.handle = f.handle;
-  r.len = len;
-  r.su = lay.stripe_unit;
-  if (frag < gc.k()) {
-    r.op = Op::read_data_raw;
-    r.off = lay.local_unit(g * gc.k() + frag) * lay.su() + c0;
-  } else {
-    r.op = Op::read_red;
-    r.off = gc.coding_off(g) + c0;
-    r.red_gen = gen;
-  }
-  return r;
-}
 }  // namespace
 
 sim::Task<std::vector<pvfs::Response>> Recovery::coding_rpcs(
@@ -60,7 +39,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
     std::uint32_t target, std::uint64_t c0, std::uint64_t len,
     const std::vector<std::uint32_t>& down, bool for_rebuild) {
   const std::uint32_t k = gc.k();
-  const std::uint32_t gen = red_gen_of(f);
+  const std::uint32_t gen = policy_->red_gen_of(f);
   // The minimal k-subset, deterministically, each kind ascending. Exactly k
   // fragments are fetched — never more — which is the degraded-read cost
   // the A14 ablation measures.
@@ -89,7 +68,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
   reads.reserve(k);
   for (const std::uint32_t frag : present) {
     reads.emplace_back(gc.fragment_server(g, frag),
-                       fragment_read(f, gc, gen, g, frag, c0, len));
+                       gc.fragment_read(f.handle, gen, g, frag, c0, len));
   }
   auto resps = co_await client_->rpc_all(std::move(reads));
   bool phantom = false;
@@ -120,7 +99,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct(
         sim::transfer_time(len * k, node.params().xor_bytes_per_sec));
   }
   // (e) Only rs feeds the erasure-coding statistics.
-  if (gc.rs && policy_ != nullptr) {
+  if (gc.rs) {
     if (for_rebuild) {
       policy_->note_ec_rebuild_decode(k, len * k);
     } else {
@@ -140,7 +119,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
   const std::uint32_t owner = layout.server_of_unit(u);
   const std::uint32_t successor = (owner + 1) % layout.n();
   const std::uint64_t local = layout.local_off(global_off);
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
   if (sch == Scheme::raid0) {
     co_return Error{Errc::server_failed, "RAID0 cannot reconstruct"};
   }
@@ -160,7 +139,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
     r.off = local;
     r.len = len;
     r.su = layout.stripe_unit;
-    r.red_gen = red_gen_of(f);
+    r.red_gen = policy_->red_gen_of(f);
     auto resp = co_await client_->rpc(successor, std::move(r));
     if (!resp.ok) co_return Error{resp.err, "raid1 mirror read"};
     out = std::move(resp.data);
@@ -170,7 +149,7 @@ sim::Task<Result<Buffer>> Recovery::reconstruct_piece(
   // migrated away from Hybrid keeps its overflow overlay live (the new
   // base redundancy covers the raw data files only), so its reconstruction
   // needs the same overlay. Never-Hybrid files skip the extra read.
-  if (overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     if (contains(down, successor)) {
       co_return Error{Errc::server_failed,
                       "overlay: owner and successor both down"};
@@ -202,7 +181,7 @@ sim::Task<Result<Buffer>> Recovery::degraded_read(const pvfs::OpenFile& f,
 }
 
 std::uint32_t Recovery::failure_budget(const pvfs::OpenFile& f) const {
-  const auto gc = group_code(scheme_of(f), f.layout);
+  const auto gc = group_code(policy_->scheme_of(f), f.layout);
   return gc ? gc->m() : 1;
 }
 
@@ -306,8 +285,8 @@ sim::Task<Result<void>> Recovery::degraded_write(
     co_return Error{Errc::server_failed,
                     "more concurrent failures than the scheme's redundancy"};
   }
-  const Scheme sch = scheme_of(f);
-  const std::uint32_t gen = red_gen_of(f);
+  const Scheme sch = policy_->scheme_of(f);
+  const std::uint32_t gen = policy_->red_gen_of(f);
 
   if (sch == Scheme::raid0) {
     for (const auto& e : layout.decompose(off, len)) {
@@ -364,7 +343,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
   const GroupCode gc = *group_code(sch, layout);
   const std::uint32_t k = gc.k();
   const std::uint32_t m = gc.m();
-  const bool inval = overlay_overflow(f);
+  const bool inval = policy_->overflow_possible(f);
   const bool mat = data.materialized();
   const auto ws = layout.split_write_w(off, len, gc.width());
   std::vector<std::pair<std::uint32_t, Request>> writes;
@@ -647,7 +626,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
   }
 
   // (e) Only rs feeds the erasure-coding statistics.
-  if (gc.rs && policy_ != nullptr && gf_bytes > 0) {
+  if (gc.rs && gf_bytes > 0) {
     policy_->note_ec_encode(gf_bytes);
   }
   auto resps = co_await client_->rpc_all(std::move(writes));
@@ -667,7 +646,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   const std::uint32_t successor = (failed + 1) % n;
   const std::uint32_t predecessor = (failed + n - 1) % n;
   if (file_size == 0) co_return Result<void>::success();
-  const Scheme sch = scheme_of(f);
+  const Scheme sch = policy_->scheme_of(f);
   if (sch == Scheme::raid0) {
     // Nothing rebuildable: RAID0 stores no redundancy, so a replaced
     // server's units are simply gone. The coordinator admits such servers
@@ -743,7 +722,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
               r.off = lay.local_unit(unit) * lay.su();
               r.len = len;
               r.su = lay.stripe_unit;
-              r.red_gen = self->red_gen_of(file);
+              r.red_gen = self->policy_->red_gen_of(file);
               auto resp = co_await self->client_->rpc((fsrv + 1) % lay.n(),
                                                       std::move(r));
               if (resp.ok) {
@@ -818,7 +797,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
                 w.off = lay.local_unit(unit) * lay.su();
                 w.payload = std::move(resp.data);
                 w.su = lay.stripe_unit;
-                w.red_gen = self->red_gen_of(file);
+                w.red_gen = self->policy_->red_gen_of(file);
                 auto wr = co_await self->client_->rpc(fsrv, std::move(w));
                 if (!wr.ok) {
                   if (!*err) *ferr = Error{wr.err, "rebuild mirror write"};
@@ -859,14 +838,10 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
                   if (!*err) *ferr = piece.error();
                   *err = true;
                 } else {
-                  Request w;
-                  w.op = Op::write_red;
-                  w.handle = file.handle;
-                  w.off = code.coding_off(group);
-                  w.payload = std::move(piece.value());
-                  w.su = code.layout.stripe_unit;
-                  w.red_gen = self->red_gen_of(file);
-                  auto wr = co_await self->client_->rpc(fsrv, std::move(w));
+                  auto wr = co_await self->client_->rpc(
+                      fsrv, code.fragment_write(
+                                file.handle, self->policy_->red_gen_of(file),
+                                group, frag, std::move(piece.value())));
                   if (!wr.ok) {
                     if (!*err) *ferr = Error{wr.err, "rebuild coding write"};
                     *err = true;
@@ -887,7 +862,7 @@ sim::Task<Result<void>> Recovery::rebuild_server(const pvfs::OpenFile& f,
   //    on its successor, and the mirror entries it held for its predecessor
   //    from that server's own table. Runs for Hybrid files and for files
   //    migrated away from Hybrid (their overlay is still live).
-  if (overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     const bool filter = opt.delta != nullptr && !opt.restore_all_overflow;
     if (opt.delta != nullptr && opt.restore_all_overflow) {
       // The rejoiner's overflow content is wholesale suspect (e.g. dirty
@@ -1157,7 +1132,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                                     std::move(w));
               }
               // (e) Only rs feeds the erasure-coding statistics.
-              if (code.rs && self->policy_ != nullptr) {
+              if (code.rs) {
                 self->policy_->note_ec_encode(std::uint64_t{code.k()} *
                                               unit_sz * code.m());
               }

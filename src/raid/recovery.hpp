@@ -59,14 +59,9 @@ struct RebuildOptions {
 
 class Recovery {
  public:
-  /// Fixed-scheme recovery: every file is treated as `scheme` (the classic
-  /// single-scheme deployments and most tests).
-  Recovery(pvfs::Client& client, Scheme scheme)
-      : client_(&client), fixed_(scheme) {}
-
-  /// Policy-routed recovery: each file's scheme, redundancy generation and
-  /// overflow-overlay status resolve through the per-file policy. The
-  /// policy is not owned and must outlive this object.
+  /// Each file's scheme, redundancy generation and overflow-overlay status
+  /// resolve through the per-file policy. The policy is not owned and must
+  /// outlive this object.
   Recovery(pvfs::Client& client, const RedundancyPolicy* policy)
       : client_(&client), policy_(policy) {}
 
@@ -131,19 +126,6 @@ class Recovery {
                                                nullptr);
 
  private:
-  Scheme scheme_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->scheme_of(f) : fixed_;
-  }
-  std::uint32_t red_gen_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->red_gen_of(f) : f.red_gen;
-  }
-  /// Whether reads/writes of `f` must honour a (possibly live) overflow
-  /// overlay — Hybrid files and files migrated away from Hybrid.
-  bool overlay_overflow(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->overflow_possible(f)
-                              : fixed_ == Scheme::hybrid;
-  }
-
   /// Concurrent failures the file's scheme survives: m for group codes,
   /// one for RAID0/RAID1 (RAID0 still fails on any lost piece).
   std::uint32_t failure_budget(const pvfs::OpenFile& f) const;
@@ -174,8 +156,7 @@ class Recovery {
       std::uint64_t global_off, std::uint64_t len);
 
   pvfs::Client* client_;
-  const RedundancyPolicy* policy_ = nullptr;
-  Scheme fixed_ = Scheme::hybrid;  ///< used only when policy_ is null
+  const RedundancyPolicy* policy_;
 };
 
 }  // namespace csar::raid

@@ -25,6 +25,7 @@
 #include "common/buffer.hpp"
 #include "common/codec.hpp"
 #include "pvfs/layout.hpp"
+#include "pvfs/messages.hpp"
 
 namespace csar::raid {
 
@@ -240,6 +241,29 @@ struct GroupCode {
     return {q * layout.n(), (q + 1) * layout.n()};
   }
 
+  /// Read request for columns [c0, c0+len) of fragment `frag` of group g
+  /// of file `handle`: a raw data-file read for data fragments, a
+  /// redundancy-file read (generation `gen`) at the group's coding slot for
+  /// coding fragments.
+  pvfs::Request fragment_read(std::uint64_t handle, std::uint32_t gen,
+                              std::uint64_t g, std::uint32_t frag,
+                              std::uint64_t c0, std::uint64_t len) const {
+    pvfs::Request r = fragment_request(handle, gen, g, frag, c0);
+    r.op = frag < spec.k ? pvfs::Op::read_data_raw : pvfs::Op::read_red;
+    r.len = len;
+    return r;
+  }
+  /// Write request storing `payload` as the whole of fragment `frag` of
+  /// group g (the counterpart of fragment_read).
+  pvfs::Request fragment_write(std::uint64_t handle, std::uint32_t gen,
+                               std::uint64_t g, std::uint32_t frag,
+                               Buffer payload) const {
+    pvfs::Request w = fragment_request(handle, gen, g, frag, 0);
+    w.op = frag < spec.k ? pvfs::Op::write_data : pvfs::Op::write_red;
+    w.payload = std::move(payload);
+    return w;
+  }
+
   /// Coding fragment j over the group's k data `units` (in order; phantom
   /// if any is). Row 0 is all ones, so it starts from a view of the first
   /// unit and XORs the rest, with no zero-filled accumulator; other rows
@@ -262,6 +286,23 @@ struct GroupCode {
                        rs_coeff(spec, j, i));
     }
     return coding;
+  }
+
+ private:
+  /// The addressing fragment_read and fragment_write share.
+  pvfs::Request fragment_request(std::uint64_t handle, std::uint32_t gen,
+                                 std::uint64_t g, std::uint32_t frag,
+                                 std::uint64_t c0) const {
+    pvfs::Request r;
+    r.handle = handle;
+    r.su = layout.stripe_unit;
+    if (frag < spec.k) {
+      r.off = layout.local_unit(g * spec.k + frag) * layout.su() + c0;
+    } else {
+      r.off = coding_off(g) + c0;
+      r.red_gen = gen;
+    }
+    return r;
   }
 };
 

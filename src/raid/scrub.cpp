@@ -1,5 +1,6 @@
 #include "raid/scrub.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -19,44 +20,28 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
                                                   bool repair) {
   Report report;
   if (file_size == 0) co_return report;
-  const Scheme sch = scheme_of(f);
-  switch (sch.kind) {
-    case SchemeKind::raid0:
-      co_return report;  // nothing to audit
-    case SchemeKind::raid1: {
-      auto r = co_await scrub_mirrors(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
-    case SchemeKind::raid4:
-    case SchemeKind::raid5:
-    case SchemeKind::raid5_nolock:
-    case SchemeKind::raid5_npc:
-    case SchemeKind::hybrid: {
-      auto r = co_await scrub_parity(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
-    case SchemeKind::rs: {
-      auto r = co_await scrub_rs(f, file_size, repair, report);
-      if (!r.ok()) co_return r.error();
-      break;
-    }
+  const Scheme sch = policy_->scheme_of(f);
+  if (sch == Scheme::raid0) co_return report;  // nothing to audit
+  // Not a ?: expression: GCC 12 miscompiles co_await inside conditionals.
+  Result<void> r = Result<void>::success();
+  if (const auto gc = group_code(sch, f.layout)) {
+    r = co_await scrub_group_code(f, *gc, file_size, repair, report);
+  } else {
+    r = co_await scrub_mirrors(f, file_size, repair, report);
   }
+  if (!r.ok()) co_return r.error();
   // Overflow entries outlive a migration away from Hybrid (the overlay stays
   // authoritative over the new base redundancy), so the pairwise overflow
   // audit runs for every file that may still carry entries — not just files
   // whose current base scheme is Hybrid.
-  if (sch != Scheme::raid0 && overlay_overflow(f)) {
+  if (policy_->overflow_possible(f)) {
     auto o = co_await scrub_overflow(f, file_size, repair, report);
     if (!o.ok()) co_return o.error();
   }
   // Latent-sector findings are exactly the early-warning signal the adaptive
   // engine watches: feed them back so sustained media pressure can tip a
   // scheme recommendation before a whole server dies.
-  if (policy_ != nullptr && report.media_errors > 0) {
-    policy_->note_media_errors(report.media_errors);
-  }
+  if (report.media_errors > 0) policy_->note_media_errors(report.media_errors);
   if (repair && report.repaired > 0) {
     // Repairs only count once they are durable: a rewrite that rebuilds a
     // latent-sector unit must reach the disk (that is what remaps the bad
@@ -67,243 +52,95 @@ sim::Task<Result<Scrubber::Report>> Scrubber::run(const pvfs::OpenFile& f,
   co_return report;
 }
 
-sim::Task<Result<void>> Scrubber::scrub_parity(const pvfs::OpenFile& f,
-                                               std::uint64_t file_size,
-                                               bool repair, Report& report) {
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
-  const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
-  for (std::uint64_t g = 0; g < ngroups; ++g) {
-    // Gather the group's data units and its stored parity.
-    std::vector<std::pair<std::uint32_t, Request>> reads;
-    for (std::uint64_t u = g * (layout.n() - 1);
-         u < (g + 1) * (layout.n() - 1); ++u) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = layout.local_unit(u) * su;
-      r.len = su;
-      reads.emplace_back(layout.server_of_unit(u), std::move(r));
-    }
-    {
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.parity_local_off(g);
-      r.len = su;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      reads.emplace_back(layout.parity_server(g), std::move(r));
-    }
-    auto resps = co_await client_->rpc_all(std::move(reads));
-    const std::size_t parity_idx = resps.size() - 1;
-    std::vector<std::size_t> lost;  // responses lost to latent sector errors
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok) continue;
-      if (resps[i].err == Errc::media_error) {
-        // A latent sector error is a per-range finding, not a dead server.
-        ++report.media_errors;
-        lost.push_back(i);
-        continue;
-      }
-      co_return Error{resps[i].err, "scrub read", resps[i].server};
-    }
-    ++report.groups_checked;
-    bool materialized = true;
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok && !resps[i].data.materialized()) materialized = false;
-    }
-    if (lost.size() > 1) {
-      // Single redundancy cannot rebuild two lost units of one group.
-      report.unrepairable += lost.size();
-      continue;
-    }
-    if (lost.size() == 1) {
-      if (!repair) continue;  // verify-only: the finding is recorded
-      // Rebuild the unreadable unit by XOR-ing the surviving n-1 units of
-      // the group; rewriting it clears the bad sectors underneath.
-      const std::size_t bad = lost.front();
-      Buffer rebuilt =
-          materialized ? Buffer::real(su) : Buffer::phantom(su);
-      if (materialized) {
-        for (std::size_t i = 0; i < resps.size(); ++i) {
-          if (i != bad) rebuilt.xor_with(resps[i].data);
-        }
-        auto& node = client_->cluster().node(client_->node_id());
-        co_await node.tx().occupy(sim::transfer_time(
-            su * layout.n(), node.params().xor_bytes_per_sec));
-      }
-      Request w;
-      w.handle = f.handle;
-      w.payload = std::move(rebuilt);
-      w.su = layout.stripe_unit;
-      std::uint32_t target;
-      if (bad == parity_idx) {
-        w.op = Op::write_red;
-        w.off = layout.parity_local_off(g);
-        w.red_gen = gen;
-        target = layout.parity_server(g);
-      } else {
-        const std::uint64_t u = g * (layout.n() - 1) + bad;
-        w.op = Op::write_data;
-        w.off = layout.local_unit(u) * su;
-        target = layout.server_of_unit(u);
-      }
-      auto wr = co_await client_->rpc(target, std::move(w));
-      if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
-      ++report.repaired;
-      continue;
-    }
-    Buffer expect;
-    if (!materialized) continue;  // phantom content: nothing to compare
-    expect = Buffer::real(su);
-    for (std::size_t i = 0; i + 1 < resps.size(); ++i) {
-      expect.xor_with(resps[i].data);
-    }
-    // Charge the audit XOR on the scrubbing client.
-    auto& node = client_->cluster().node(client_->node_id());
-    co_await node.tx().occupy(sim::transfer_time(
-        su * layout.n(), node.params().xor_bytes_per_sec));
-    if (resps.back().data == expect) continue;
-    ++report.parity_mismatches;
-    if (repair) {
-      Request w;
-      w.op = Op::write_red;
-      w.handle = f.handle;
-      w.off = layout.parity_local_off(g);
-      w.payload = std::move(expect);
-      w.su = layout.stripe_unit;
-      w.red_gen = gen;
-      auto wr = co_await client_->rpc(layout.parity_server(g), std::move(w));
-      if (!wr.ok) co_return Error{wr.err, "scrub parity rewrite"};
-      ++report.repaired;
-    }
-  }
-  co_return Result<void>::success();
-}
-
-sim::Task<Result<void>> Scrubber::scrub_rs(const pvfs::OpenFile& f,
-                                           std::uint64_t file_size,
-                                           bool repair, Report& report) {
-  // The parity audit generalized to rs(k,m): per group, read the k data
-  // units and all m coding fragments; recompute each fragment and compare.
-  // Up to m latent-sector losses per group decode from the k live
-  // fragments; more is unrepairable.
-  const StripeLayout& layout = f.layout;
-  const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
-  const Scheme sch = scheme_of(f);
-  const CodeSpec spec = sch.code(layout);
-  const std::uint32_t k = spec.k;
-  const std::uint32_t m = spec.m;
-  const std::uint64_t ngroups = div_ceil(file_size, layout.rs_group_width(k));
+sim::Task<Result<void>> Scrubber::scrub_group_code(const pvfs::OpenFile& f,
+                                                   const GroupCode& gc,
+                                                   std::uint64_t file_size,
+                                                   bool repair,
+                                                   Report& report) {
+  const std::uint64_t su = gc.layout.su();
+  const std::uint32_t k = gc.k();
+  const std::uint32_t m = gc.m();
+  const std::uint32_t gen = policy_->red_gen_of(f);
+  // Every audit row and every decode is charged as k+1 unit-sized passes
+  // through the kernel on the scrubbing client — even for RAID5-npc, whose
+  // writes charge no parity computation.
+  auto& node = client_->cluster().node(client_->node_id());
+  const sim::Time xor_time =
+      sim::transfer_time(su * (k + 1), node.params().xor_bytes_per_sec);
+  const std::uint64_t ngroups = div_ceil(file_size, gc.width());
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     std::vector<std::pair<std::uint32_t, Request>> reads;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      Request r;
-      r.op = Op::read_data_raw;
-      r.handle = f.handle;
-      r.off = layout.local_unit(g * k + i) * su;
-      r.len = su;
-      reads.emplace_back(layout.rs_data_server(g, k, i), std::move(r));
-    }
-    for (std::uint32_t j = 0; j < m; ++j) {
-      Request r;
-      r.op = Op::read_red;
-      r.handle = f.handle;
-      r.off = layout.rs_coding_local_off(g);
-      r.len = su;
-      r.su = layout.stripe_unit;
-      r.red_gen = gen;
-      reads.emplace_back(layout.rs_coding_server(g, k, j), std::move(r));
+    reads.reserve(k + m);
+    for (std::uint32_t frag = 0; frag < k + m; ++frag) {
+      reads.emplace_back(gc.fragment_server(g, frag),
+                         gc.fragment_read(f.handle, gen, g, frag, 0, su));
     }
     auto resps = co_await client_->rpc_all(std::move(reads));
     std::vector<std::uint32_t> lost;  // fragment indexes, data then coding
-    for (std::size_t i = 0; i < resps.size(); ++i) {
-      if (resps[i].ok) continue;
-      if (resps[i].err == Errc::media_error) {
+    bool materialized = true;
+    for (std::uint32_t frag = 0; frag < k + m; ++frag) {
+      const pvfs::Response& resp = resps[frag];
+      if (resp.ok) {
+        materialized = materialized && resp.data.materialized();
+      } else if (resp.err == Errc::media_error) {
+        // A latent sector error is a per-range finding, not a dead server.
         ++report.media_errors;
-        lost.push_back(static_cast<std::uint32_t>(i));
-        continue;
+        lost.push_back(frag);
+      } else {
+        co_return Error{resp.err, "scrub read", resp.server};
       }
-      co_return Error{resps[i].err, "scrub rs read", resps[i].server};
     }
     ++report.groups_checked;
-    bool materialized = true;
-    for (const auto& resp : resps) {
-      if (resp.ok && !resp.data.materialized()) materialized = false;
-    }
     if (lost.size() > m) {
       report.unrepairable += lost.size();
       continue;
     }
     if (!lost.empty()) {
       if (!repair) continue;  // verify-only: the findings are recorded
-      // Decode each lost fragment from the first k live fragments.
+      // Decode each lost fragment from the first k live ones (for m = 1,
+      // the XOR of the other k); rewriting it clears the bad sectors.
       std::vector<std::uint32_t> present;
-      for (std::uint32_t frag = 0; frag < spec.fragments() && present.size() < k;
+      for (std::uint32_t frag = 0; frag < k + m && present.size() < k;
            ++frag) {
-        bool is_lost = false;
-        for (const std::uint32_t l : lost) is_lost = is_lost || l == frag;
-        if (!is_lost) present.push_back(frag);
+        if (std::find(lost.begin(), lost.end(), frag) == lost.end()) {
+          present.push_back(frag);
+        }
       }
       for (const std::uint32_t bad : lost) {
-        Buffer rebuilt = materialized ? Buffer::real(su) : Buffer::phantom(su);
+        Buffer rebuilt = Buffer::phantom(su);
         if (materialized) {
-          const auto coeffs = rs_reconstruct_coeffs(spec, present, bad);
-          auto dst = rebuilt.mutable_bytes();
+          rebuilt = Buffer::real(su);
+          const auto coeffs = rs_reconstruct_coeffs(gc.spec, present, bad);
           for (std::size_t r = 0; r < present.size(); ++r) {
-            gf_muladd_region(dst, resps[present[r]].data.bytes(), coeffs[r]);
+            gf_muladd_region(rebuilt.mutable_bytes(),
+                             resps[present[r]].data.bytes(), coeffs[r]);
           }
-          auto& node = client_->cluster().node(client_->node_id());
-          co_await node.tx().occupy(sim::transfer_time(
-              su * (k + 1), node.params().xor_bytes_per_sec));
+          co_await node.tx().occupy(xor_time);
         }
-        Request w;
-        w.handle = f.handle;
-        w.payload = std::move(rebuilt);
-        w.su = layout.stripe_unit;
-        std::uint32_t target;
-        if (bad >= k) {
-          w.op = Op::write_red;
-          w.off = layout.rs_coding_local_off(g);
-          w.red_gen = gen;
-          target = layout.rs_coding_server(g, k, bad - k);
-        } else {
-          w.op = Op::write_data;
-          w.off = layout.local_unit(g * k + bad) * su;
-          target = layout.rs_data_server(g, k, bad);
-        }
-        auto wr = co_await client_->rpc(target, std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub rs rewrite", wr.server};
+        auto wr = co_await client_->rpc(
+            gc.fragment_server(g, bad),
+            gc.fragment_write(f.handle, gen, g, bad, std::move(rebuilt)));
+        if (!wr.ok) co_return Error{wr.err, "scrub media rewrite", wr.server};
         ++report.repaired;
       }
       continue;
     }
     if (!materialized) continue;  // phantom content: nothing to compare
+    std::vector<Buffer> units;
+    units.reserve(k);
+    for (std::uint32_t i = 0; i < k; ++i) {
+      units.push_back(std::move(resps[i].data));
+    }
     for (std::uint32_t j = 0; j < m; ++j) {
-      Buffer expect = Buffer::real(su);
-      auto dst = expect.mutable_bytes();
-      for (std::uint32_t i = 0; i < k; ++i) {
-        gf_muladd_region(dst, resps[i].data.bytes(), rs_coeff(spec, j, i));
-      }
-      auto& node = client_->cluster().node(client_->node_id());
-      co_await node.tx().occupy(sim::transfer_time(
-          su * (k + 1), node.params().xor_bytes_per_sec));
+      Buffer expect = gc.encode(j, units);
+      co_await node.tx().occupy(xor_time);
       if (resps[k + j].data == expect) continue;
       ++report.parity_mismatches;
       if (repair) {
-        Request w;
-        w.op = Op::write_red;
-        w.handle = f.handle;
-        w.off = layout.rs_coding_local_off(g);
-        w.payload = std::move(expect);
-        w.su = layout.stripe_unit;
-        w.red_gen = gen;
-        auto wr = co_await client_->rpc(layout.rs_coding_server(g, k, j),
-                                        std::move(w));
-        if (!wr.ok) co_return Error{wr.err, "scrub rs coding rewrite"};
+        auto wr = co_await client_->rpc(
+            gc.coding_server(g, j),
+            gc.fragment_write(f.handle, gen, g, k + j, std::move(expect)));
+        if (!wr.ok) co_return Error{wr.err, "scrub parity rewrite"};
         ++report.repaired;
       }
     }
@@ -316,7 +153,7 @@ sim::Task<Result<void>> Scrubber::scrub_mirrors(const pvfs::OpenFile& f,
                                                 bool repair, Report& report) {
   const StripeLayout& layout = f.layout;
   const std::uint64_t su = layout.su();
-  const std::uint32_t gen = red_gen_of(f);
+  const std::uint32_t gen = policy_->red_gen_of(f);
   for (std::uint64_t u = 0; u * su < file_size; ++u) {
     const std::uint32_t s = layout.server_of_unit(u);
     const std::uint64_t local = layout.local_unit(u) * su;

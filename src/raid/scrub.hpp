@@ -4,9 +4,11 @@
 // inconsistent by concurrent writers without the locking protocol (§5.1),
 // by a crash between the data and parity writes, or by the NO-LOCK ablation
 // — and a stale parity group turns a later disk failure into data loss.
-// The scrubber walks every parity group (or mirror pair, for RAID1),
-// recomputes what the redundancy should be from the data files, reports
-// mismatches, and optionally rewrites the redundancy in place.
+// The scrubber walks every group of the file's group code (RAID4, the
+// RAID5 variants, Hybrid and rs(k,m): one body, see scrub_group_code) or
+// every mirror pair (RAID1), recomputes what the redundancy should be from
+// the data files, reports mismatches, and optionally rewrites the
+// redundancy in place.
 //
 // For the Hybrid scheme the base invariant is identical to RAID5's: parity
 // covers the *data files* only, because partial-stripe writes go to
@@ -25,18 +27,14 @@ namespace csar::raid {
 
 class Scrubber {
  public:
-  /// Fixed-scheme scrubbing: every file is audited as `scheme`.
-  Scrubber(pvfs::Client& client, Scheme scheme)
-      : client_(&client), fixed_(scheme) {}
-
-  /// Policy-routed scrubbing: each file is audited under its own scheme and
-  /// redundancy generation, and media-error findings feed the policy's
-  /// fault-pressure counters. The policy is not owned.
+  /// Each file is audited under its own scheme and redundancy generation,
+  /// resolved through the per-file policy, and media-error findings feed
+  /// the policy's fault-pressure counters. The policy is not owned.
   Scrubber(pvfs::Client& client, RedundancyPolicy* policy)
       : client_(&client), policy_(policy) {}
 
   struct Report {
-    std::uint64_t groups_checked = 0;    ///< parity groups (RAID5/Hybrid)
+    std::uint64_t groups_checked = 0;    ///< groups of the group code
     std::uint64_t parity_mismatches = 0;
     std::uint64_t mirror_units_checked = 0;  ///< mirrored units (RAID1)
     std::uint64_t mirror_mismatches = 0;
@@ -76,12 +74,14 @@ class Scrubber {
  private:
   sim::Task<Result<Report>> run(const pvfs::OpenFile& f,
                                 std::uint64_t file_size, bool repair);
-  sim::Task<Result<void>> scrub_parity(const pvfs::OpenFile& f,
-                                       std::uint64_t file_size, bool repair,
-                                       Report& report);
-  sim::Task<Result<void>> scrub_rs(const pvfs::OpenFile& f,
-                                   std::uint64_t file_size, bool repair,
-                                   Report& report);
+  /// Per group, read all k+m fragments (data first, then coding), audit
+  /// every coding row against the data and, with `repair`, rewrite what is
+  /// wrong. Up to m fragments lost to latent sector errors are decoded from
+  /// the first k live ones; more is unrepairable.
+  sim::Task<Result<void>> scrub_group_code(const pvfs::OpenFile& f,
+                                           const GroupCode& gc,
+                                           std::uint64_t file_size,
+                                           bool repair, Report& report);
   sim::Task<Result<void>> scrub_mirrors(const pvfs::OpenFile& f,
                                         std::uint64_t file_size, bool repair,
                                         Report& report);
@@ -89,22 +89,8 @@ class Scrubber {
                                          std::uint64_t file_size, bool repair,
                                          Report& report);
 
-  Scheme scheme_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->scheme_of(f) : fixed_;
-  }
-  std::uint32_t red_gen_of(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->red_gen_of(f) : f.red_gen;
-  }
-  /// Whether the file may carry live overflow entries (Hybrid now, or a
-  /// migrated ex-Hybrid file whose overlay is still authoritative).
-  bool overlay_overflow(const pvfs::OpenFile& f) const {
-    return policy_ != nullptr ? policy_->overflow_possible(f)
-                              : fixed_ == Scheme::hybrid;
-  }
-
   pvfs::Client* client_;
-  RedundancyPolicy* policy_ = nullptr;
-  Scheme fixed_ = Scheme::hybrid;
+  RedundancyPolicy* policy_;
 };
 
 }  // namespace csar::raid

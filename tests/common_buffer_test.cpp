@@ -212,14 +212,16 @@ TEST(Buffer, ConcatOfNothingIsEmpty) {
 
 TEST(Buffer, ConcatResultAndPartsNeverSeeEachOthersWrites) {
   for (const bool single : {true, false}) {
-    std::vector<Buffer> parts = {Buffer::pattern(16, 4)};
+    std::vector<Buffer> parts;
+    parts.reserve(2);
+    parts.push_back(Buffer::pattern(16, 4));
     if (!single) parts.push_back(Buffer::pattern(16, 5));
-    const std::vector<Buffer> orig_parts = {parts.front().slice(0, 16)};
+    const Buffer orig_front = parts.front().slice(0, 16);
     Buffer out = Buffer::concat(parts);
     const Buffer orig_out = Buffer::concat(parts);
 
     out.mutable_bytes()[0] ^= std::byte{0xFF};
-    EXPECT_EQ(parts.front(), orig_parts.front());
+    EXPECT_EQ(parts.front(), orig_front);
 
     out = Buffer::concat(parts);
     parts.front().mutable_bytes()[0] ^= std::byte{0xFF};

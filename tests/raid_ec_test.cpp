@@ -253,13 +253,14 @@ sim::Task<bool> rs_consistent(Rig& rig, const pvfs::OpenFile& f,
                               std::uint32_t gen = 0) {
   const auto& lay = f.layout;
   const std::uint64_t su = lay.su();
-  const CodeSpec spec{sch.k, sch.m};
-  const std::uint64_t ngroups = div_ceil(file_size, lay.rs_group_width(sch.k));
+  const GroupCode gc = *group_code(sch, lay);
+  const CodeSpec spec = gc.spec;
+  const std::uint64_t ngroups = div_ceil(file_size, gc.width());
   bool ok = true;
   for (std::uint64_t g = 0; g < ngroups; ++g) {
     std::vector<Buffer> data;
     for (std::uint32_t i = 0; i < spec.k; ++i) {
-      auto& ds = rig.server(lay.rs_data_server(g, spec.k, i));
+      auto& ds = rig.server(gc.fragment_server(g, i));
       const std::uint64_t u = g * spec.k + i;
       Buffer unit = co_await ds.fs().peek(IoServer::data_name(f.handle),
                                           lay.local_unit(u) * su, su);
@@ -300,7 +301,7 @@ TEST(RsEndToEnd, RoundTripAndCodingInvariant) {
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
     const Scheme sch = Scheme::rs(4, 2);
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = group_code(Scheme::rs(4, 2), f->layout)->width();
     RefFile ref;
     Rng rng(90210);
     // Full-group writes, then a mix of unaligned and sub-unit RMW writes.
@@ -335,7 +336,7 @@ TEST(RsEndToEnd, DegradedReadSurvivesTwoFailures) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = group_code(Scheme::rs(4, 2), f->layout)->width();
     RefFile ref;
     Rng rng(31337);
     for (int i = 0; i < 20; ++i) {
@@ -389,7 +390,7 @@ TEST(RsEndToEnd, DegradedWriteKeepsLiveCodingConsistent) {
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
     const Scheme sch = Scheme::rs(4, 2);
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = group_code(Scheme::rs(4, 2), f->layout)->width();
     RefFile ref;
     {
       Buffer data = Buffer::pattern(3 * w, 5);
@@ -445,7 +446,7 @@ TEST(RsEndToEnd, RebuildTwoWipedServersFromAnyKSurvivors) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const std::uint64_t w = group_code(Scheme::rs(4, 2), f->layout)->width();
     RefFile ref;
     Rng rng(2026);
     for (int i = 0; i < 20; ++i) {
@@ -575,7 +576,8 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
     auto& fs = r.client_fs();
     auto f = co_await fs.create("f", r.layout(kSu));
     CO_ASSERT_TRUE(f.ok());
-    const std::uint64_t w = f->layout.rs_group_width(4);
+    const GroupCode gc = *group_code(Scheme::rs(4, 2), f->layout);
+    const std::uint64_t w = gc.width();
     Buffer data = Buffer::pattern(2 * w, 9);
     auto wr = co_await fs.write(*f, 0, data.slice(0, 2 * w));
     CO_ASSERT_TRUE(wr.ok());
@@ -594,7 +596,7 @@ TEST(RsEndToEnd, ScrubRepairsUpToMLatentErrorsPerGroup) {
       hw::Disk* disk = r.cluster.node(srv.node_id()).disk();
       disk->plant_media_error(hw::PageCache::page_addr(fid, 0, 1) + off, len);
     };
-    plant(f->layout.rs_data_server(0, 4, 1), IoServer::data_name(f->handle),
+    plant(gc.fragment_server(0, 1), IoServer::data_name(f->handle),
           0, kSu);
     plant(f->layout.rs_coding_server(0, 4, 0), IoServer::red_name(f->handle),
           0, kSu);

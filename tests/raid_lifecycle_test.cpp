@@ -57,7 +57,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
         Buffer data = Buffer::pattern(len, rng.next());
         ref.write(off, data);
         if (down.has_value()) {
-          Recovery crec(r.client(client), r.p.scheme);
+          Recovery crec(r.client(client), &r.policy());
           auto wr =
               co_await crec.degraded_write(*f, off, std::move(data), *down);
           CO_ASSERT_TRUE(wr.ok());
@@ -93,7 +93,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
         }
       } else {
         if (!down.has_value()) {
-          Scrubber scrub(r.client(0), r.p.scheme);
+          Scrubber scrub(r.client(0), &r.policy());
           auto report = co_await scrub.verify(*f, ref.size());
           CO_ASSERT_TRUE(report.ok());
           EXPECT_TRUE(report->clean()) << "scrub at step " << step;
@@ -109,7 +109,7 @@ void lifecycle(Scheme scheme, std::uint64_t seed) {
       down.reset();
     }
     co_await verify("final");
-    Scrubber scrub(r.client(0), r.p.scheme);
+    Scrubber scrub(r.client(0), &r.policy());
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());

@@ -43,7 +43,7 @@ void clean_after_writes(Scheme scheme) {
       auto wr = co_await fs.write(*f, off, std::move(data));
       CO_ASSERT_TRUE(wr.ok());
     }
-    Scrubber scrub(r.client(), r.p.scheme);
+    Scrubber scrub(r.client(), &r.policy());
     auto report = co_await scrub.verify(*f, ref.size());
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
@@ -67,7 +67,7 @@ TEST(Scrub, Raid0HasNothingToAudit) {
     CO_ASSERT_TRUE(f.ok());
     auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(8 * kSu, 1));
     CO_ASSERT_TRUE(wr.ok());
-    Scrubber scrub(r.client(), Scheme::raid0);
+    Scrubber scrub(r.client(), &r.policy());
     auto report = co_await scrub.verify(*f, 8 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
@@ -97,7 +97,7 @@ TEST(Scrub, DetectsNoLockCorruption) {
       }(r, *f, c, &wg));
     }
     co_await wg.wait();
-    Scrubber scrub(r.client(0), Scheme::raid5_nolock);
+    Scrubber scrub(r.client(0), &r.policy());
     auto report = co_await scrub.verify(*f, 4 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_GT(report->parity_mismatches, 0u);
@@ -127,12 +127,12 @@ TEST(Scrub, RepairsNoLockCorruption) {
       }(r, *f, c, &wg));
     }
     co_await wg.wait();
-    Scrubber scrub(r.client(0), Scheme::raid5_nolock);
+    Scrubber scrub(r.client(0), &r.policy());
     auto repair = co_await scrub.repair(*f, ref.size());
     CO_ASSERT_TRUE(repair.ok());
     EXPECT_GT(repair->repaired, 0u);
     // Now the file is failure-tolerant again: reconstruct each server.
-    Recovery rec(r.client(0), Scheme::raid5);
+    Recovery rec = r.recovery();
     for (std::uint32_t victim = 0; victim < r.p.nservers; ++victim) {
       r.server(victim).fail();
       auto rd = co_await rec.degraded_read(*f, 0, ref.size(), victim);
@@ -158,7 +158,7 @@ TEST(Scrub, DetectsManuallyCorruptedMirror) {
     // (simulating a torn write).
     co_await r.server(1).fs().write(pvfs::IoServer::red_name(f->handle), 0,
                                     Buffer::pattern(kSu, 999));
-    Scrubber scrub(r.client(), Scheme::raid1);
+    Scrubber scrub(r.client(), &r.policy());
     auto report = co_await scrub.verify(*f, 5 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->mirror_mismatches, 1u);
@@ -184,7 +184,7 @@ TEST(Scrub, HybridOverflowPairsAudited) {
           Buffer::pattern(500, i));
       CO_ASSERT_TRUE(wr.ok());
     }
-    Scrubber scrub(r.client(), Scheme::hybrid);
+    Scrubber scrub(r.client(), &r.policy());
     auto report = co_await scrub.verify(*f, 6 * kSu);
     CO_ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean());
