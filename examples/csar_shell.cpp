@@ -9,9 +9,10 @@
 //   csar> wipe 2 ; recover 2 ; rebuild data 2
 //   csar> scrub data ; stat data ; diag ; quit
 //
-// Every command reports the simulated time it consumed. Written data uses
-// deterministic patterns, and reads are verified against a local reference
-// model, so any redundancy bug surfaces as "CORRUPT".
+// Every I/O command (write, read, rebuild, scrub, repair, compact) reports
+// the simulated time it consumed. Written data uses deterministic patterns,
+// and reads are verified against a local reference model, so any redundancy
+// bug surfaces as "CORRUPT".
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -126,7 +127,8 @@ int main(int argc, char** argv) {
       if (cmd == "fail") rig.server(s).fail();
       if (cmd == "recover") rig.server(s).recover();
       if (cmd == "wipe") rig.server(s).wipe();
-      std::printf("server %u %sed\n", s, cmd.c_str());
+      std::printf("server %u %s\n", s,
+                  cmd == "wipe" ? "wiped" : (cmd + "ed").c_str());
       continue;
     }
 
@@ -216,14 +218,15 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "groups=%llu parity-bad=%llu mirrors=%llu mirror-bad=%llu "
-          "overflow-bad=%llu repaired=%llu -> %s\n",
+          "overflow-bad=%llu repaired=%llu -> %s (%.3f ms simulated)\n",
           static_cast<unsigned long long>(report->groups_checked),
           static_cast<unsigned long long>(report->parity_mismatches),
           static_cast<unsigned long long>(report->mirror_units_checked),
           static_cast<unsigned long long>(report->mirror_mismatches),
           static_cast<unsigned long long>(report->overflow_mismatches),
           static_cast<unsigned long long>(report->repaired),
-          report->clean() ? "clean" : "INCONSISTENT");
+          report->clean() ? "clean" : "INCONSISTENT",
+          sim::to_seconds(rig.sim.now() - before) * 1e3);
     } else if (cmd == "compact") {
       auto rc = wl::run_on(
           rig, rig.client_fs().compact(file.handle, file.reference.size()));
