@@ -72,10 +72,11 @@ RunResult run(raid::Scheme scheme) {
     out.parity_consistent = true;
     if (raid::uses_parity(r.p.scheme)) {
       const auto& layout = file->layout;
-      Buffer parity = co_await r.server(layout.parity_server(0))
+      const raid::GroupCode gc = *raid::group_code(r.p.scheme, layout);
+      Buffer parity = co_await r.server(gc.coding_server(0, 0))
                           .fs()
                           .peek(pvfs::IoServer::red_name(file->handle),
-                                layout.parity_local_off(0), kSu);
+                                gc.coding_off(0, 0), kSu);
       Buffer expect = Buffer::real(kSu);
       for (std::uint64_t u = 0; u < kServers - 1; ++u) {
         Buffer unit = co_await r.server(layout.server_of_unit(u))

@@ -1,20 +1,15 @@
-// StripeLayout: PVFS round-robin striping math plus CSAR's parity geometry.
+// StripeLayout: PVFS round-robin striping math.
 //
 // Data layout (identical to PVFS, §4 of the paper): the file is split into
 // stripe units of `su` bytes; unit u lives on server (u % n) at local unit
 // index (u / n) of that server's data file.
 //
-// Parity geometry (Figure 2): a parity group is N-1 *consecutive* stripe
-// units. Because N-1 consecutive units occupy N-1 distinct servers, exactly
-// one server holds none of the group's data; that server stores the group's
-// parity unit in its redundancy file, and it rotates group by group
-// (for group g the parity server is ((g+1)*(N-1)) mod N). Every parity
-// group is therefore recoverable from a single server failure, while the
-// data layout stays byte-identical to plain PVFS.
-//
 // A "full stripe" is W = (N-1)*su consecutive bytes aligned on a multiple of
-// W. The Hybrid write rule decomposes every write into a leading partial
-// stripe, an integral run of full stripes and a trailing partial stripe.
+// W: one parity group of Figure 2, whose N-1 consecutive units occupy N-1
+// distinct servers. The Hybrid write rule decomposes every write into a
+// leading partial stripe, an integral run of full stripes and a trailing
+// partial stripe. Where a group's coding fragments live is the group code's
+// business (raid::GroupCode), not the layout's.
 #pragma once
 
 #include <cassert>
@@ -25,7 +20,7 @@
 
 namespace csar::pvfs {
 
-/// Where parity units live.
+/// Where parity units live (raid::GroupCode::coding_server reads it).
 enum class ParityPlacement : std::uint8_t {
   /// CSAR (Figure 2): data striped over all N servers; a group's parity
   /// goes to the one server holding none of its data, rotating per group.
@@ -86,67 +81,6 @@ struct StripeLayout {
     const std::uint64_t k = local / stripe_unit;
     const std::uint64_t r = (server + dn - base % dn) % dn;
     return (k * dn + r) * stripe_unit + local % stripe_unit;
-  }
-
-  // --- parity group math ---
-  std::uint64_t group_of_unit(std::uint64_t u) const {
-    return u / (nservers - 1);
-  }
-  std::uint64_t group_of_off(std::uint64_t off) const {
-    return group_of_unit(unit_of(off));
-  }
-  /// Global byte range [start, end) covered by group g.
-  std::uint64_t group_start(std::uint64_t g) const {
-    return g * stripe_width();
-  }
-  std::uint64_t group_end(std::uint64_t g) const {
-    return (g + 1) * stripe_width();
-  }
-  /// The server holding group g's parity unit — the one server with none of
-  /// the group's data (rotating), or the dedicated server N-1 (fixed).
-  std::uint32_t parity_server(std::uint64_t g) const {
-    if (placement == ParityPlacement::fixed) return nservers - 1;
-    // The one server holding none of group g's data, shifted by `base`
-    // exactly like the data placement.
-    return static_cast<std::uint32_t>(
-        (base + (g + 1) * (nservers - 1)) % nservers);
-  }
-  /// Local unit index of group g's parity inside the parity server's
-  /// redundancy file: every N-th group per server when rotating, every
-  /// group when fixed.
-  std::uint64_t parity_local_unit(std::uint64_t g) const {
-    return placement == ParityPlacement::fixed ? g : g / nservers;
-  }
-  /// Server-local byte offset of group g's parity unit.
-  std::uint64_t parity_local_off(std::uint64_t g) const {
-    return parity_local_unit(g) * stripe_unit;
-  }
-
-  // --- rs (k+m) group math ---
-  // Reed-Solomon generalizes the parity geometry: an rs group is k
-  // *consecutive* stripe units (occupying k distinct servers under the
-  // rotating data layout, which rs always uses — data placement stays
-  // byte-identical to plain PVFS), and the group's m coding fragments go to
-  // the next m servers after the group's data in rotation order, so the
-  // k+m fragments of a group sit on k+m distinct servers (requires
-  // k+m <= N). With k = N-1 and m = 1 the coding *server* is exactly the
-  // rotating parity server above, but the *slot* is not: coding fragment j
-  // of group g lives in server rs_coding_server(g,k,j)'s redundancy file at
-  // a slot-per-group offset (one unit-sized slot per group index, like
-  // RAID4's fixed placement) — sparse per server, but collision-free
-  // without closed-form density math — where rotating parity packs its
-  // units densely (parity_local_unit = g / N).
-  /// Server holding coding fragment j of rs group g.
-  std::uint32_t rs_coding_server(std::uint64_t g, std::uint32_t k,
-                                 std::uint32_t j) const {
-    assert(placement == ParityPlacement::rotating);
-    return static_cast<std::uint32_t>((base + g * k + k + j) % nservers);
-  }
-  /// Server-local byte offset of group g's coding fragment inside the
-  /// holder's redundancy file (at most one fragment per (server, group), so
-  /// the group index is the slot).
-  std::uint64_t rs_coding_local_off(std::uint64_t g) const {
-    return g * stripe_unit;
   }
 
   // --- request decomposition ---

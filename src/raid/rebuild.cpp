@@ -284,6 +284,17 @@ sim::Task<void> RebuildCoordinator::handle_rejoin(std::uint32_t s,
   o.next_attempt = sim().now() + p_.retry_backoff;
 }
 
+void taint_lost_coding(const GroupCode& gc, std::uint32_t s, Interval lost,
+                       std::uint64_t size, IntervalSet& stale) {
+  const std::uint64_t su = gc.layout.su();
+  for (std::uint64_t q = lost.start / su; q * su < lost.end; ++q) {
+    const auto frag = gc.coding_fragment(s, q);
+    if (!frag) return;
+    const std::uint64_t gs = gc.group_start(frag->first);
+    if (gs < size) stale.insert(gs, std::min(gc.group_end(frag->first), size));
+  }
+}
+
 void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
   auto losses = rig_->server(s).fs().take_crash_losses();
   if (losses.empty()) return;
@@ -331,20 +342,7 @@ void RebuildCoordinator::merge_crash_losses(std::uint32_t s) {
             lo = row_end;
           }
         } else if (const auto gc = group_code(sch, lay)) {
-          // Coding rows: every group whose coding slot on this server is a
-          // lost local unit q has stale coding — taint its whole span.
-          for (std::uint64_t q = iv.start / su; q * su < iv.end; ++q) {
-            const auto [g_lo, g_hi] = gc->slot_groups(q);
-            for (std::uint64_t g = g_lo; g < g_hi; ++g) {
-              if (gc->coding_off(g) != q * su || !gc->holds_coding(g, s)) {
-                continue;
-              }
-              const std::uint64_t gs = gc->group_start(g);
-              if (gs >= t.size) continue;
-              o.stale[t.f.handle].insert(gs,
-                                         std::min(gc->group_end(g), t.size));
-            }
-          }
+          taint_lost_coding(*gc, s, iv, t.size, o.stale[t.f.handle]);
         }
       }
     }

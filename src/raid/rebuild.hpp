@@ -81,6 +81,12 @@ struct RebuildParams {
   pvfs::RpcPolicy rpc{sim::sec(30), 2, sim::ms(50), 0.5};
 };
 
+/// Coding rows of a crash-lost range: mark stale (in file offsets) the whole
+/// span of each group whose coding fragment filled part of the local byte
+/// range `lost` of server `s`'s redundancy file, clipped to the file `size`.
+void taint_lost_coding(const GroupCode& gc, std::uint32_t s, Interval lost,
+                       std::uint64_t size, IntervalSet& stale);
+
 struct RebuildStats {
   std::uint64_t rebuilds_started = 0;
   std::uint64_t rebuilds_completed = 0;

@@ -400,7 +400,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
       Request w;
       w.op = Op::write_red;
       w.handle = f.handle;
-      w.off = gc.coding_off(g);
+      w.off = gc.coding_off(g, j);
       w.payload = CsarFs::full_group_coding(gc, g, j, off, data);
       w.su = layout.stripe_unit;
       w.red_gen = gen;
@@ -507,7 +507,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
         Request u;
         u.op = Op::unlock_red;
         u.handle = f.handle;
-        u.off = gc.coding_off(g) + c0;
+        u.off = gc.coding_off(g, live_j[x]) + c0;
         u.rmw_token = rmw_token;
         u.su = layout.stripe_unit;
         u.red_gen = gen;
@@ -519,7 +519,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
       Request pr;
       pr.op = Op::read_red;
       pr.handle = f.handle;
-      pr.off = gc.coding_off(g) + c0;
+      pr.off = gc.coding_off(g, live_j[idx]) + c0;
       pr.len = c1 - c0;
       pr.lock = gc.lock;
       pr.rmw_token = rmw_token;
@@ -612,7 +612,7 @@ sim::Task<Result<void>> Recovery::degraded_write(
       Request pw;
       pw.op = Op::write_red;
       pw.handle = f.handle;
-      pw.off = gc.coding_off(g) + c0;
+      pw.off = gc.coding_off(g, live_j[x]) + c0;
       pw.payload = std::move(coding_new[x]);
       pw.unlock = gc.lock;
       pw.rmw_token = rmw_token;
@@ -1124,7 +1124,7 @@ sim::Task<Result<void>> Recovery::build_redundancy(const pvfs::OpenFile& f,
                 Request w;
                 w.op = Op::write_red;
                 w.handle = file.handle;
-                w.off = code.coding_off(group);
+                w.off = code.coding_off(group, j);
                 w.payload = code.encode(j, units);
                 w.su = lay.stripe_unit;
                 w.red_gen = gen;

@@ -37,52 +37,6 @@ TEST(Layout, StripeWidth) {
   EXPECT_EQ(l.stripe_width(), 5u * 16 * 1024);
 }
 
-TEST(Layout, Figure2ParityPlacement) {
-  // The paper's Figure 2: three servers; P[0-1] (parity of D0, D1) is on
-  // I/O server 2. Groups of N-1=2 consecutive units.
-  StripeLayout l{1024, 3};
-  EXPECT_EQ(l.group_of_unit(0), 0u);
-  EXPECT_EQ(l.group_of_unit(1), 0u);
-  EXPECT_EQ(l.group_of_unit(2), 1u);
-  EXPECT_EQ(l.parity_server(0), 2u);  // D0 on s0, D1 on s1 -> parity on s2
-  EXPECT_EQ(l.parity_server(1), 1u);  // D2 on s2, D3 on s0 -> parity on s1
-  EXPECT_EQ(l.parity_server(2), 0u);  // D4 on s1, D5 on s2 -> parity on s0
-}
-
-// Structural invariant: the parity server of a group never holds any of the
-// group's data units, for any server count — single-failure recoverability.
-class ParityPlacementProperty : public ::testing::TestWithParam<std::uint32_t> {
-};
-
-TEST_P(ParityPlacementProperty, ParityServerHoldsNoGroupData) {
-  const std::uint32_t n = GetParam();
-  StripeLayout l{4096, n};
-  for (std::uint64_t g = 0; g < 200; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
-      ASSERT_NE(l.server_of_unit(u), ps)
-          << "group " << g << " unit " << u << " collides with parity";
-    }
-  }
-}
-
-TEST_P(ParityPlacementProperty, ParityLocalUnitsAreDense) {
-  // Each server holds parity for every N-th group, packed densely into its
-  // redundancy file: local indices 0,1,2,... per server with no gaps.
-  const std::uint32_t n = GetParam();
-  StripeLayout l{4096, n};
-  std::vector<std::uint64_t> next(n, 0);
-  for (std::uint64_t g = 0; g < 500; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    ASSERT_EQ(l.parity_local_unit(g), next[ps]) << "group " << g;
-    ++next[ps];
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ServerCounts, ParityPlacementProperty,
-                         ::testing::Values(2, 3, 4, 5, 6, 7, 8, 16));
-
-
 // PVFS's `base` attribute shifts the whole placement; every structural
 // invariant must hold for every base.
 class BaseOffsetProperty
@@ -92,22 +46,9 @@ class BaseOffsetProperty
 TEST_P(BaseOffsetProperty, PlacementInvariantsHoldForEveryBase) {
   const auto [n, base] = GetParam();
   StripeLayout l{4096, n, ParityPlacement::rotating, base};
-  // Unit 0 starts at the base server.
+  // Unit 0 starts at the base server. (The coding placement's invariants
+  // for every base are GroupCode's, in raid_coding_layout_test.)
   EXPECT_EQ(l.server_of_unit(0), base % n);
-  for (std::uint64_t g = 0; g < 100; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    for (std::uint64_t u = g * (n - 1); u < (g + 1) * (n - 1); ++u) {
-      ASSERT_NE(l.server_of_unit(u), ps)
-          << "base " << base << " group " << g;
-    }
-  }
-  // Parity files stay dense per server.
-  std::vector<std::uint64_t> next(n, 0);
-  for (std::uint64_t g = 0; g < 300; ++g) {
-    const std::uint32_t ps = l.parity_server(g);
-    ASSERT_EQ(l.parity_local_unit(g), next[ps]);
-    ++next[ps];
-  }
   // Decomposition still covers exactly.
   Rng rng(47 + base);
   for (int trial = 0; trial < 50; ++trial) {
@@ -268,12 +209,10 @@ TEST(Layout, SplitWriteProperty) {
   }
 }
 
-TEST(Layout, TwoServerDegenerateParity) {
-  // N=2: groups are single units; parity is effectively a rotated mirror.
+TEST(Layout, TwoServerDegenerateStripe) {
+  // N=2: a full stripe is a single unit.
   StripeLayout l{1024, 2};
   EXPECT_EQ(l.stripe_width(), 1024u);
-  EXPECT_EQ(l.parity_server(0), 1u);  // unit 0 on s0 -> parity on s1
-  EXPECT_EQ(l.parity_server(1), 0u);  // unit 1 on s1 -> parity on s0
 }
 
 TEST(Layout, GatherWithinOneUnitIsAViewOfTheCallersBytes) {

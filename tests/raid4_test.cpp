@@ -33,9 +33,10 @@ TEST(Raid4Layout, DataNeverLandsOnParityServer) {
   for (std::uint64_t u = 0; u < 100; ++u) {
     EXPECT_LT(l.server_of_unit(u), 4u);
   }
+  const GroupCode gc = *group_code(Scheme::raid4, l);
   for (std::uint64_t g = 0; g < 100; ++g) {
-    EXPECT_EQ(l.parity_server(g), 4u);
-    EXPECT_EQ(l.parity_local_unit(g), g);  // dense in the parity file
+    EXPECT_EQ(gc.coding_server(g, 0), 4u);
+    EXPECT_EQ(gc.coding_off(g, 0), g * kSu);  // dense in the parity file
   }
 }
 
@@ -50,9 +51,10 @@ TEST(Raid4Layout, GroupIsOneLocalRow) {
   // Under fixed placement a group is exactly one unit per data server, all
   // at the same local row — the classic RAID4 geometry.
   StripeLayout l{kSu, 5, ParityPlacement::fixed};
+  const GroupCode gc = *group_code(Scheme::raid4, l);
   for (std::uint64_t g = 0; g < 50; ++g) {
     for (std::uint64_t u = g * 4; u < (g + 1) * 4; ++u) {
-      EXPECT_EQ(l.group_of_unit(u), g);
+      EXPECT_EQ(gc.group_of_unit(u), g);
       EXPECT_EQ(l.local_unit(u), g);
     }
   }

@@ -48,10 +48,11 @@ TEST(ErrorPaths, FailedParityReadDoesNotWedgeTheStripe) {
     auto seed = co_await fs.write(*f, 0, Buffer::pattern(2 * w, 1));
     CO_ASSERT_TRUE(seed.ok());
     // A write straddling groups 0 and 1: parity servers are
-    // parity_server(0)=3 and parity_server(1)=2. Fail server 2 so the
+    // coding_server(0, 0)=3 and coding_server(1, 0)=2. Fail server 2 so the
     // SECOND (higher-group) parity read fails after the first lock is held.
-    CO_ASSERT_EQ(f->layout.parity_server(0), 3u);
-    CO_ASSERT_EQ(f->layout.parity_server(1), 2u);
+    const GroupCode gc = *group_code(Scheme::raid5, f->layout);
+    CO_ASSERT_EQ(gc.coding_server(0, 0), 3u);
+    CO_ASSERT_EQ(gc.coding_server(1, 0), 2u);
     r.server(2).fail();
     auto bad = co_await fs.write(*f, w - 600, Buffer::pattern(1200, 2));
     EXPECT_FALSE(bad.ok());
@@ -79,7 +80,8 @@ TEST(ErrorPaths, FailedOldDataReadAlsoReleasesLocks) {
     CO_ASSERT_TRUE(seed.ok());
     // Partial write over units 0 and 1 (servers 0, 1), all in group 0 whose
     // parity lives on server 3. Fail data server 1.
-    CO_ASSERT_EQ(f->layout.parity_server(0), 3u);
+    const GroupCode gc = *group_code(Scheme::raid5, f->layout);
+    CO_ASSERT_EQ(gc.coding_server(0, 0), 3u);
     r.server(1).fail();
     auto bad = co_await fs.write(*f, kSu - 100, Buffer::pattern(200, 2));
     EXPECT_FALSE(bad.ok());

@@ -180,11 +180,12 @@ TEST(ParityLock, LeaseReclaimsAbandonedLock) {
     auto wr = co_await r.client_fs().write(*f, 0, Buffer::pattern(2 * w, 7));
     CO_ASSERT_TRUE(wr.ok());
     // Take group 0's parity lock by hand and abandon it.
-    const std::uint32_t ps = f->layout.parity_server(0);
+    const GroupCode gc = *group_code(Scheme::raid5, f->layout);
+    const std::uint32_t ps = gc.coding_server(0, 0);
     pvfs::Request lr;
     lr.op = pvfs::Op::read_red;
     lr.handle = f->handle;
-    lr.off = f->layout.parity_local_off(0);
+    lr.off = gc.coding_off(0, 0);
     lr.len = kSu;
     lr.su = f->layout.stripe_unit;
     lr.lock = true;

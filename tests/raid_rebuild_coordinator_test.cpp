@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "raid/health.hpp"
 #include "raid/rig.hpp"
@@ -21,10 +23,11 @@ using csar::test::run_sim_void;
 constexpr std::uint32_t kSu = 32 * 1024;
 constexpr std::uint64_t kFile = 1024 * 1024;
 
-RigParams rig_params() {
+RigParams rig_params(Scheme scheme = Scheme::hybrid,
+                     std::uint32_t nservers = 5) {
   RigParams p;
-  p.scheme = Scheme::hybrid;
-  p.nservers = 5;
+  p.scheme = scheme;
+  p.nservers = nservers;
   p.rpc.timeout = sim::ms(150);
   p.rpc.max_attempts = 4;
   p.rpc.backoff = sim::ms(5);
@@ -120,8 +123,9 @@ struct NonWipeOutcome {
 /// Crash a server whose dirty pages are volatile, degraded-write around it
 /// while it is down, then restart it with (wipe=false) or without
 /// (wipe=true kept as control) its disk contents.
-NonWipeOutcome run_restart(bool wipe) {
-  RigParams rp = rig_params();
+NonWipeOutcome run_restart(bool wipe, Scheme scheme = Scheme::hybrid,
+                           std::uint32_t nservers = 5) {
+  RigParams rp = rig_params(scheme, nservers);
   rp.fs.volatile_dirty_pages = true;
   Rig rig(rp);
   HealthParams hp;
@@ -190,8 +194,8 @@ NonWipeOutcome run_restart(bool wipe) {
 // during the outage or lost with the dirty page cache are reconstructed,
 // which moves far less data than the wipe control's full rebuild — and the
 // result is still byte-exact.
-TEST(RebuildCoordinator, NonWipeRestartDeltaRebuilds) {
-  const NonWipeOutcome delta = run_restart(/*wipe=*/false);
+void expect_delta_beats_full(Scheme scheme, std::uint32_t nservers) {
+  const NonWipeOutcome delta = run_restart(/*wipe=*/false, scheme, nservers);
   EXPECT_GE(delta.stats.delta_rebuilds, 1u);
   EXPECT_EQ(delta.stats.full_rebuilds, 0u);
   EXPECT_EQ(delta.stats.rebuilds_failed, 0u);
@@ -199,11 +203,55 @@ TEST(RebuildCoordinator, NonWipeRestartDeltaRebuilds) {
   EXPECT_FALSE(delta.fenced);
   EXPECT_TRUE(delta.byte_exact);
 
-  const NonWipeOutcome full = run_restart(/*wipe=*/true);
+  const NonWipeOutcome full = run_restart(/*wipe=*/true, scheme, nservers);
   EXPECT_GE(full.stats.full_rebuilds, 1u);
   EXPECT_FALSE(full.fenced);
   EXPECT_TRUE(full.byte_exact);
   EXPECT_LT(delta.stats.bytes_rebuilt, full.stats.bytes_rebuilt);
+}
+
+TEST(RebuildCoordinator, NonWipeRestartDeltaRebuilds) {
+  expect_delta_beats_full(Scheme::hybrid, 5);
+}
+
+// The same scenario on rs(4,2), whose crashed server loses coding units at
+// dense slots: every lost unit must map back to the group it coded.
+TEST(RebuildCoordinator, NonWipeRestartDeltaRebuildsRs) {
+  expect_delta_beats_full(Scheme::rs(4, 2), 6);
+}
+
+// The crash-loss mapping itself: losing redundancy-file unit q of server s
+// taints exactly the group whose coding fragment lived there — found here
+// by brute force over the geometry, not through coding_fragment.
+TEST(RebuildCoordinator, LostCodingUnitTaintsExactlyItsGroup) {
+  const GroupCode gc =
+      *group_code(Scheme::rs(4, 2), pvfs::StripeLayout{kSu, 6});
+  const std::uint64_t ngroups = 24;
+  const std::uint64_t size = ngroups * gc.width();
+  for (std::uint32_t s = 0; s < 6; ++s) {
+    for (std::uint64_t q = 0;; ++q) {
+      std::optional<std::uint64_t> owner;
+      for (std::uint64_t g = 0; g < ngroups; ++g) {
+        for (std::uint32_t j = 0; j < gc.m(); ++j) {
+          if (gc.coding_server(g, j) == s && gc.coding_off(g, j) == q * kSu) {
+            ASSERT_FALSE(owner.has_value()) << "slot " << q << " shared";
+            owner = g;
+          }
+        }
+      }
+      if (!owner) break;
+      // A few bytes inside the unit, and the whole unit, taint the group.
+      for (const Interval lost : {Interval{q * kSu + 100, q * kSu + 200},
+                                  Interval{q * kSu, (q + 1) * kSu}}) {
+        IntervalSet stale;
+        taint_lost_coding(gc, s, lost, size, stale);
+        const auto got = stale.to_vector();
+        ASSERT_EQ(got.size(), 1u) << "server " << s << " slot " << q;
+        EXPECT_EQ(got[0].start, gc.group_start(*owner));
+        EXPECT_EQ(got[0].end, gc.group_end(*owner));
+      }
+    }
+  }
 }
 
 struct CapOutcome {

@@ -92,11 +92,13 @@ inline sim::Task<bool> parity_consistent(raid::Rig& rig,
   const auto& layout = f.layout;
   const std::uint64_t su = layout.su();
   const std::uint64_t ngroups = div_ceil(file_size, layout.stripe_width());
+  // Every parity scheme's group code: k = N-1 XOR parity over the layout.
+  const raid::GroupCode gc{CodeSpec{layout.n() - 1, 1}, layout};
   bool ok = true;
   for (std::uint64_t g = 0; g < ngroups; ++g) {
-    auto& pserver = rig.server(layout.parity_server(g));
+    auto& pserver = rig.server(gc.coding_server(g, 0));
     Buffer parity = co_await pserver.fs().peek(
-        pvfs::IoServer::red_name(f.handle), layout.parity_local_off(g), su);
+        pvfs::IoServer::red_name(f.handle), gc.coding_off(g, 0), su);
     Buffer expect = Buffer::real(su);
     for (std::uint64_t u = g * (layout.n() - 1);
          u < (g + 1) * (layout.n() - 1); ++u) {
