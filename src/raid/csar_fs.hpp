@@ -219,7 +219,8 @@ class CsarFs {
   sim::Task<void> charge_xor(bool charge, std::uint64_t bytes);
 
   /// Append the coding writes for the fully covered groups [g0, g1) to
-  /// `reqs`, targeting redundancy generation `red_gen`.
+  /// `reqs`, targeting redundancy generation `red_gen`: one merged write per
+  /// coding server, in ascending server order.
   void full_coding_writes(
       const pvfs::OpenFile& f, const GroupCode& gc, std::uint64_t off,
       const Buffer& data, std::uint64_t g0, std::uint64_t g1,
